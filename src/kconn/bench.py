@@ -1,5 +1,5 @@
-"""Benchmark harness: generates instances, runs the requested algorithms
-(optionally on both kernel backends), and cross-checks result digests."""
+"""Benchmark harness: generates instances, runs the requested algorithms,
+and cross-checks result digests."""
 
 import time
 from dataclasses import dataclass
@@ -14,6 +14,7 @@ from .oracle import naive_kscc
 __all__ = ["RunReport", "run_algorithm", "bench_run"]
 
 ALGORITHMS = ("kscc", "naive", "sparse2e")
+CONFIG_KEYS = ("algorithms", "generator", "sizes", "seeds", "k", "mode", "validate")
 
 
 @dataclass
@@ -93,9 +94,15 @@ def _make_instance(generator, size, seed):
 def bench_run(config):
     """Run the configured algorithm/instance matrix; returns RunReports.
 
-    Digests of all algorithms on one instance (per backend) must agree;
-    a mismatch raises BenchMismatch naming the instance and seed.
+    Digests of all algorithms on one instance must agree; a mismatch raises
+    BenchMismatch naming the instance and seed.  Unknown config keys raise
+    GraphError.
     """
+    unknown = sorted(set(config) - set(CONFIG_KEYS))
+    if unknown:
+        raise GraphError(
+            f"unknown bench config keys {unknown}; expected some of {list(CONFIG_KEYS)}"
+        )
     algorithms = list(config.get("algorithms", []))
     if not algorithms:
         return []
@@ -106,44 +113,37 @@ def bench_run(config):
     mode = config.get("mode", "edge")
     sizes = config.get("sizes", [30])
     seeds = config.get("seeds", [0])
-    backends = config.get("backends", [kernels.backend()])
     generator = config.get("generator", {"kind": "random", "p": 0.1})
     validate = config.get("validate", True)
     reports = []
-    initial_backend = kernels.backend()
-    try:
-        for backend in backends:
-            kernels.set_backend(backend)
-            for size in sizes:
-                for seed in seeds:
-                    g, label = _make_instance(generator, size, seed)
-                    digests = {}
-                    for name in algorithms:
-                        t0 = time.perf_counter()
-                        cs, counters, trace = run_algorithm(name, g, k, mode, validate=validate)
-                        dt = time.perf_counter() - t0
-                        digest = cs.digest()
-                        digests[name] = digest
-                        reports.append(
-                            RunReport(
-                                algorithm=name,
-                                backend=backend,
-                                n=g.n,
-                                m=g.m,
-                                k=k,
-                                mode=mode,
-                                seed=seed,
-                                wall_time_s=dt,
-                                counters=counters.as_dict(),
-                                levels=_level_summary(trace),
-                                digest=digest,
-                                instance=label,
-                            )
-                        )
-                    if len(set(digests.values())) > 1:
-                        raise BenchMismatch(
-                            f"digest mismatch on {label} (seed {seed}): {digests}"
-                        )
-    finally:
-        kernels.set_backend(initial_backend)
+    for size in sizes:
+        for seed in seeds:
+            g, label = _make_instance(generator, size, seed)
+            digests = {}
+            for name in algorithms:
+                t0 = time.perf_counter()
+                cs, counters, trace = run_algorithm(name, g, k, mode, validate=validate)
+                dt = time.perf_counter() - t0
+                digest = cs.digest()
+                digests[name] = digest
+                reports.append(
+                    RunReport(
+                        algorithm=name,
+                        backend=kernels.backend(),
+                        n=g.n,
+                        m=g.m,
+                        k=k,
+                        mode=mode,
+                        seed=seed,
+                        wall_time_s=dt,
+                        counters=counters.as_dict(),
+                        levels=_level_summary(trace),
+                        digest=digest,
+                        instance=label,
+                    )
+                )
+            if len(set(digests.values())) > 1:
+                raise BenchMismatch(
+                    f"digest mismatch on {label} (seed {seed}): {digests}"
+                )
     return reports

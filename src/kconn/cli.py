@@ -146,7 +146,12 @@ def main(argv=None):
         if args.command == "bench":
             if args.config:
                 with open(args.config, "r", encoding="utf-8") as fh:
-                    config = json.load(fh)
+                    try:
+                        config = json.load(fh)
+                    except json.JSONDecodeError as exc:
+                        raise GraphError(f"bench config {args.config}: {exc}") from exc
+                if not isinstance(config, dict):
+                    raise GraphError(f"bench config {args.config} is not a JSON object")
             else:
                 config = {"algorithms": ["kscc", "naive"]}
             reports = bench_run(config)

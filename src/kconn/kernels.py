@@ -1,21 +1,16 @@
 """Flat-array kernels for the hot graph loops.
 
-Everything here operates on CSR-style numpy arrays so that one source
-definition can run either JIT-compiled through numba or as plain Python.
-The backend is picked at import time -- set ``KCONN_NO_NUMBA=1`` (or
-uninstall numba) to force the interpreted path -- and can be switched at
-runtime with :func:`set_backend`, which the benchmark harness uses to time
-both paths on identical inputs.
+Inputs are CSR-style numpy arrays (see :func:`build_csr`).  Each kernel
+copies the arrays it reads into Python lists once with ``.tolist()`` and
+loops over those: CPython indexes a list of ints several times faster than
+it indexes a numpy array one scalar at a time.  Results are returned as
+numpy arrays, as callers index and slice them that way.
 """
-
-import os
 
 import numpy as np
 
 __all__ = [
-    "available_backends",
     "backend",
-    "set_backend",
     "tarjan_scc",
     "idom_lt",
     "bfs_depth",
@@ -31,172 +26,177 @@ __all__ = [
 _I = np.int64
 
 
+def backend():
+    """Name of the kernel implementation; there is only the interpreted one."""
+    return "python"
+
+
 def build_csr(n, us, vs):
     """CSR adjacency (indptr, indices) for edges us[i] -> vs[i].
 
     Stable within each source vertex, so per-vertex edge order follows the
     input order of the edge arrays.
     """
-    us = np.asarray(us, dtype=_I)
-    vs = np.asarray(vs, dtype=_I)
-    counts = np.bincount(us, minlength=n) if len(us) else np.zeros(n, dtype=_I)
-    indptr = np.zeros(n + 1, dtype=_I)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(us, kind="stable")
-    return indptr, vs[order]
+    indptr, indices, _ = _csr(n, us, vs)
+    return indptr, indices
 
 
 def build_csr_with_eids(n, us, vs):
     """Like :func:`build_csr` but also returns the edge id of each CSR slot."""
+    indptr, indices, order = _csr(n, us, vs)
+    return indptr, indices, order.astype(_I)
+
+
+def _csr(n, us, vs):
     us = np.asarray(us, dtype=_I)
     vs = np.asarray(vs, dtype=_I)
     counts = np.bincount(us, minlength=n) if len(us) else np.zeros(n, dtype=_I)
     indptr = np.zeros(n + 1, dtype=_I)
     np.cumsum(counts, out=indptr[1:])
     order = np.argsort(us, kind="stable")
-    return indptr, vs[order], order.astype(_I)
+    return indptr, vs[order], order
 
 
-# --- kernel bodies ---------------------------------------------------------
-# Written in nopython style: arrays, ints and while-loops only.
+def tarjan_scc(n, verts, indptr, indices):
+    """Iterative Tarjan started from each of the given vertices in turn.
 
-
-def _tarjan_scc(n, verts, indptr, indices):
-    """Iterative Tarjan over the given active vertices.
-
-    Returns (comp, ncomp); comp[v] == -1 for vertices not in ``verts``.
-    Component ids are assigned in completion order (not canonical).
+    Returns (comp, ncomp); comp[v] == -1 for vertices not reached from
+    ``verts``.  Component ids are assigned in completion order (not
+    canonical).
     """
-    index = np.full(n, -1, dtype=_I)
-    low = np.zeros(n, dtype=_I)
-    on = np.zeros(n, dtype=np.uint8)
-    comp = np.full(n, -1, dtype=_I)
-    stack = np.empty(n, dtype=_I)
-    cs_v = np.empty(n, dtype=_I)
-    cs_e = np.empty(n, dtype=_I)
-    sp = 0
+    ptr = indptr.tolist()
+    adj = indices.tolist()
+    if isinstance(verts, np.ndarray):
+        verts = verts.tolist()
+    index = [-1] * n
+    low = [0] * n
+    on = [False] * n
+    comp = [-1] * n
+    stack = []
     counter = 0
     ncomp = 0
-    for ii in range(len(verts)):
-        s = verts[ii]
+    for s in verts:
         if index[s] >= 0:
             continue
-        top = 0
-        cs_v[0] = s
-        cs_e[0] = indptr[s]
-        index[s] = counter
-        low[s] = counter
+        index[s] = low[s] = counter
         counter += 1
-        stack[sp] = s
-        sp += 1
-        on[s] = 1
-        while top >= 0:
-            v = cs_v[top]
-            e = cs_e[top]
-            if e < indptr[v + 1]:
-                cs_e[top] = e + 1
-                w = indices[e]
-                if index[w] < 0:
-                    index[w] = counter
-                    low[w] = counter
+        stack.append(s)
+        on[s] = True
+        cs_v = [s]
+        cs_e = [ptr[s]]
+        while cs_v:
+            v = cs_v[-1]
+            e = cs_e[-1]
+            end = ptr[v + 1]
+            lv = low[v]
+            while e < end:
+                w = adj[e]
+                e += 1
+                iw = index[w]
+                if iw < 0:
+                    cs_e[-1] = e
+                    low[v] = lv
+                    index[w] = low[w] = counter
                     counter += 1
-                    stack[sp] = w
-                    sp += 1
-                    on[w] = 1
-                    top += 1
-                    cs_v[top] = w
-                    cs_e[top] = indptr[w]
-                elif on[w] == 1:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
+                    stack.append(w)
+                    on[w] = True
+                    cs_v.append(w)
+                    cs_e.append(ptr[w])
+                    break
+                if on[w] and iw < lv:
+                    lv = iw
             else:
-                if low[v] == index[v]:
+                low[v] = lv
+                cs_v.pop()
+                cs_e.pop()
+                if lv == index[v]:
                     while True:
-                        w = stack[sp - 1]
-                        sp -= 1
-                        on[w] = 0
+                        w = stack.pop()
+                        on[w] = False
                         comp[w] = ncomp
                         if w == v:
                             break
                     ncomp += 1
-                top -= 1
-                if top >= 0:
-                    pv = cs_v[top]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-    return comp, ncomp
+                if cs_v:
+                    pv = cs_v[-1]
+                    if lv < low[pv]:
+                        low[pv] = lv
+    return np.array(comp, dtype=_I), ncomp
 
 
-def _idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
+def idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
     """Immediate dominators via Lengauer-Tarjan with path compression.
 
     idom[root] == root; idom[v] == -1 for vertices unreachable from root.
     """
-    dfnum = np.full(n, -1, dtype=_I)
-    vertex = np.empty(n, dtype=_I)
-    parent = np.full(n, -1, dtype=_I)
-    cs_v = np.empty(n, dtype=_I)
-    cs_e = np.empty(n, dtype=_I)
-    top = 0
-    cs_v[0] = root
-    cs_e[0] = out_indptr[root]
+    optr = out_indptr.tolist()
+    oadj = out_indices.tolist()
+    pptr = pred_indptr.tolist()
+    padj = pred_indices.tolist()
+
+    # DFS preorder: dfnum[v] is v's number, vertex[i] the i-th vertex.
+    dfnum = [-1] * n
+    parent = [-1] * n
     dfnum[root] = 0
-    vertex[0] = root
-    cnt = 1
-    while top >= 0:
-        v = cs_v[top]
-        e = cs_e[top]
-        if e < out_indptr[v + 1]:
-            cs_e[top] = e + 1
-            w = out_indices[e]
+    vertex = [root]
+    cs_v = [root]
+    cs_e = [optr[root]]
+    while cs_v:
+        v = cs_v[-1]
+        e = cs_e[-1]
+        end = optr[v + 1]
+        while e < end:
+            w = oadj[e]
+            e += 1
             if dfnum[w] < 0:
-                dfnum[w] = cnt
-                vertex[cnt] = w
-                cnt += 1
+                cs_e[-1] = e
+                dfnum[w] = len(vertex)
+                vertex.append(w)
                 parent[w] = v
-                top += 1
-                cs_v[top] = w
-                cs_e[top] = out_indptr[w]
+                cs_v.append(w)
+                cs_e.append(optr[w])
+                break
         else:
-            top -= 1
+            cs_v.pop()
+            cs_e.pop()
 
-    semi = dfnum.copy()
-    ancestor = np.full(n, -1, dtype=_I)
-    best = np.arange(n, dtype=_I)
-    idom = np.full(n, -1, dtype=_I)
-    samedom = np.full(n, -1, dtype=_I)
-    bhead = np.full(n, -1, dtype=_I)
-    bnext = np.full(n, -1, dtype=_I)
-    cstack = np.empty(n, dtype=_I)
+    semi = dfnum[:]
+    ancestor = [-1] * n
+    best = list(range(n))
+    idom = [-1] * n
+    samedom = [-1] * n
+    bhead = [-1] * n
+    bnext = [-1] * n
 
-    for i in range(cnt - 1, 0, -1):
+    def evaluate(v):
+        """Ancestor of v with the lowest semi, compressing the path."""
+        path = []
+        x = v
+        a = ancestor[x]
+        while a >= 0 and ancestor[a] >= 0:
+            path.append(x)
+            x = a
+            a = ancestor[x]
+        while path:
+            y = path.pop()
+            a = ancestor[y]
+            if semi[best[a]] < semi[best[y]]:
+                best[y] = best[a]
+            ancestor[y] = ancestor[a]
+        return best[v]
+
+    for i in range(len(vertex) - 1, 0, -1):
         w = vertex[i]
         p = parent[w]
         s = semi[w]
-        for pe in range(pred_indptr[w], pred_indptr[w + 1]):
-            v = pred_indices[pe]
-            if dfnum[v] < 0:
+        for v in padj[pptr[w]:pptr[w + 1]]:
+            dv = dfnum[v]
+            if dv < 0:
                 continue
-            if dfnum[v] <= dfnum[w]:
-                s2 = dfnum[v]
-            else:
-                # eval(v): ancestor with lowest semi, compressing the path
-                x = v
-                csp = 0
-                while ancestor[x] >= 0 and ancestor[ancestor[x]] >= 0:
-                    cstack[csp] = x
-                    csp += 1
-                    x = ancestor[x]
-                while csp > 0:
-                    csp -= 1
-                    y = cstack[csp]
-                    a = ancestor[y]
-                    if semi[best[a]] < semi[best[y]]:
-                        best[y] = best[a]
-                    ancestor[y] = ancestor[a]
-                s2 = semi[best[v]]
-            if s2 < s:
-                s = s2
+            if dv > i:
+                dv = semi[evaluate(v)]
+            if dv < s:
+                s = dv
         semi[w] = s
         sv = vertex[s]
         bnext[w] = bhead[sv]
@@ -204,20 +204,7 @@ def _idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
         ancestor[w] = p
         v = bhead[p]
         while v >= 0:
-            x = v
-            csp = 0
-            while ancestor[x] >= 0 and ancestor[ancestor[x]] >= 0:
-                cstack[csp] = x
-                csp += 1
-                x = ancestor[x]
-            while csp > 0:
-                csp -= 1
-                y = cstack[csp]
-                a = ancestor[y]
-                if semi[best[a]] < semi[best[y]]:
-                    best[y] = best[a]
-                ancestor[y] = ancestor[a]
-            u = best[v]
+            u = evaluate(v)
             if semi[u] < semi[v]:
                 samedom[v] = u
             else:
@@ -225,260 +212,152 @@ def _idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
             v = bnext[v]
         bhead[p] = -1
 
-    for i in range(1, cnt):
-        w = vertex[i]
+    for w in vertex[1:]:
         if samedom[w] >= 0:
             idom[w] = idom[samedom[w]]
     idom[root] = root
-    return idom
+    return np.array(idom, dtype=_I)
 
 
-def _bfs_depth(n, src, limit, indptr, indices):
+def bfs_depth(n, src, limit, indptr, indices):
     """BFS from src up to the given edge-distance; returns (dist, edges_scanned)."""
-    dist = np.full(n, -1, dtype=_I)
-    q = np.empty(n, dtype=_I)
+    ptr = indptr.tolist()
+    adj = indices.tolist()
+    dist = [-1] * n
     dist[src] = 0
-    q[0] = src
-    qh = 0
-    qt = 1
+    q = [src]
     scanned = 0
-    while qh < qt:
-        v = q[qh]
-        qh += 1
+    for v in q:
         dv = dist[v]
         if dv >= limit:
             continue
-        for e in range(indptr[v], indptr[v + 1]):
-            scanned += 1
-            w = indices[e]
+        succ = adj[ptr[v]:ptr[v + 1]]
+        scanned += len(succ)
+        for w in succ:
             if dist[w] < 0:
                 dist[w] = dv + 1
-                q[qt] = w
-                qt += 1
-    return dist, scanned
+                q.append(w)
+    return np.array(dist, dtype=_I), scanned
 
 
-def _reach(n, src, indptr, indices):
-    vis = np.zeros(n, dtype=np.uint8)
-    q = np.empty(n, dtype=_I)
+def reach(n, src, indptr, indices):
+    """Vertices reachable from src, as a 0/1 uint8 array."""
+    ptr = indptr.tolist()
+    adj = indices.tolist()
+    vis = [0] * n
     vis[src] = 1
-    q[0] = src
-    qh = 0
-    qt = 1
-    while qh < qt:
-        v = q[qh]
-        qh += 1
-        for e in range(indptr[v], indptr[v + 1]):
-            w = indices[e]
-            if vis[w] == 0:
+    q = [src]
+    for v in q:
+        for w in adj[ptr[v]:ptr[v + 1]]:
+            if not vis[w]:
                 vis[w] = 1
-                q[qt] = w
-                qt += 1
-    return vis
+                q.append(w)
+    return np.array(vis, dtype=np.uint8)
 
 
-def _reach_skip_vertices(n, src, indptr, indices, blocked):
-    vis = np.zeros(n, dtype=np.uint8)
-    if blocked[src] == 1:
-        return vis
-    q = np.empty(n, dtype=_I)
+def reach_skip_vertices(n, src, indptr, indices, blocked):
+    """:func:`reach` in the graph without the vertices marked in ``blocked``."""
+    if blocked[src]:
+        return np.zeros(n, dtype=np.uint8)
+    ptr = indptr.tolist()
+    adj = indices.tolist()
+    skip = blocked.tolist()
+    vis = [0] * n
     vis[src] = 1
-    q[0] = src
-    qh = 0
-    qt = 1
-    while qh < qt:
-        v = q[qh]
-        qh += 1
-        for e in range(indptr[v], indptr[v + 1]):
-            w = indices[e]
-            if vis[w] == 0 and blocked[w] == 0:
+    q = [src]
+    for v in q:
+        for w in adj[ptr[v]:ptr[v + 1]]:
+            if not vis[w] and not skip[w]:
                 vis[w] = 1
-                q[qt] = w
-                qt += 1
-    return vis
+                q.append(w)
+    return np.array(vis, dtype=np.uint8)
 
 
-def _reach_skip_edges(n, src, indptr, indices, eids, blocked_edges):
-    vis = np.zeros(n, dtype=np.uint8)
-    q = np.empty(n, dtype=_I)
+def reach_skip_edges(n, src, indptr, indices, eids, blocked_edges):
+    """:func:`reach` without the edges whose ids are marked in ``blocked_edges``."""
+    ptr = indptr.tolist()
+    adj = indices.tolist()
+    eid = eids.tolist()
+    skip = blocked_edges.tolist()
+    vis = [0] * n
     vis[src] = 1
-    q[0] = src
-    qh = 0
-    qt = 1
-    while qh < qt:
-        v = q[qh]
-        qh += 1
-        for e in range(indptr[v], indptr[v + 1]):
-            if blocked_edges[eids[e]] == 1:
+    q = [src]
+    for v in q:
+        for e in range(ptr[v], ptr[v + 1]):
+            if skip[eid[e]]:
                 continue
-            w = indices[e]
-            if vis[w] == 0:
+            w = adj[e]
+            if not vis[w]:
                 vis[w] = 1
-                q[qt] = w
-                qt += 1
-    return vis
+                q.append(w)
+    return np.array(vis, dtype=np.uint8)
 
 
-def _maxflow_upto_k(nn, s, t, k, f_indptr, f_arcs, head, cap, flow):
+def maxflow_upto_k(nn, s, t, k, f_indptr, f_arcs, head, cap, flow):
     """Shortest-augmenting-path max-flow, stopping once the value reaches k.
 
-    Arcs are paired: arc a and a^1 are each other's reverse.  Returns
-    (value, augmentations).
+    Arcs are paired: arc a and a^1 are each other's reverse.  The flow found
+    is added to ``flow`` in place.  Returns (value, augmentations).
     """
-    q = np.empty(nn, dtype=_I)
-    parc = np.empty(nn, dtype=_I)
+    ptr = f_indptr.tolist()
+    arcs = f_arcs.tolist()
+    hd = head.tolist()
+    res = (cap - flow).tolist()  # residual capacity of each arc
     value = 0
     augs = 0
     while value < k:
-        for i in range(nn):
-            parc[i] = -1
+        parc = [-1] * nn
         parc[s] = -2
-        q[0] = s
-        qh = 0
-        qt = 1
+        q = [s]
         found = False
-        while qh < qt and not found:
-            u = q[qh]
-            qh += 1
-            for ai in range(f_indptr[u], f_indptr[u + 1]):
-                a = f_arcs[ai]
-                if cap[a] - flow[a] > 0:
-                    w = head[a]
+        for u in q:
+            for a in arcs[ptr[u]:ptr[u + 1]]:
+                if res[a] > 0:
+                    w = hd[a]
                     if parc[w] == -1:
                         parc[w] = a
                         if w == t:
                             found = True
                             break
-                        q[qt] = w
-                        qt += 1
+                        q.append(w)
+            if found:
+                break
         if not found:
             break
         b = k - value
         u = t
         while u != s:
             a = parc[u]
-            r = cap[a] - flow[a]
-            if r < b:
-                b = r
-            u = head[a ^ 1]
+            if res[a] < b:
+                b = res[a]
+            u = hd[a ^ 1]
         u = t
         while u != s:
             a = parc[u]
-            flow[a] += b
-            flow[a ^ 1] -= b
-            u = head[a ^ 1]
+            res[a] -= b
+            res[a ^ 1] += b
+            u = hd[a ^ 1]
         value += b
         augs += 1
+    if augs:
+        flow[:] = cap - np.array(res, dtype=_I)
     return value, augs
 
 
-def _residual_reach(nn, s, f_indptr, f_arcs, head, cap, flow):
-    vis = np.zeros(nn, dtype=np.uint8)
-    q = np.empty(nn, dtype=_I)
-    vis[s] = 1
-    q[0] = s
-    qh = 0
-    qt = 1
-    while qh < qt:
-        u = q[qh]
-        qh += 1
-        for ai in range(f_indptr[u], f_indptr[u + 1]):
-            a = f_arcs[ai]
-            if cap[a] - flow[a] > 0:
-                w = head[a]
-                if vis[w] == 0:
-                    vis[w] = 1
-                    q[qt] = w
-                    qt += 1
-    return vis
-
-
-# --- backend selection -----------------------------------------------------
-
-_KERNELS = (
-    "tarjan_scc",
-    "idom_lt",
-    "bfs_depth",
-    "reach",
-    "reach_skip_vertices",
-    "reach_skip_edges",
-    "maxflow_upto_k",
-    "residual_reach",
-)
-
-_PY = {
-    "tarjan_scc": _tarjan_scc,
-    "idom_lt": _idom_lt,
-    "bfs_depth": _bfs_depth,
-    "reach": _reach,
-    "reach_skip_vertices": _reach_skip_vertices,
-    "reach_skip_edges": _reach_skip_edges,
-    "maxflow_upto_k": _maxflow_upto_k,
-    "residual_reach": _residual_reach,
-}
-
-if os.environ.get("KCONN_NO_NUMBA", "").strip() in {"1", "true", "yes"}:
-    _NB = None
-else:
-    try:
-        import numba
-
-        _NB = {name: numba.njit(cache=True)(fn) for name, fn in _PY.items()}
-    except ImportError:
-        _NB = None
-
-_ACTIVE = _NB if _NB is not None else _PY
-_ACTIVE_NAME = "numba" if _NB is not None else "python"
-
-
-def available_backends():
-    return ("numba", "python") if _NB is not None else ("python",)
-
-
-def backend():
-    return _ACTIVE_NAME
-
-
-def set_backend(name):
-    """Switch kernels between 'numba' and 'python' at runtime."""
-    global _ACTIVE, _ACTIVE_NAME
-    if name == "python":
-        _ACTIVE, _ACTIVE_NAME = _PY, "python"
-    elif name == "numba":
-        if _NB is None:
-            raise RuntimeError("numba backend unavailable (disabled or not installed)")
-        _ACTIVE, _ACTIVE_NAME = _NB, "numba"
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-
-
-def tarjan_scc(n, verts, indptr, indices):
-    return _ACTIVE["tarjan_scc"](n, verts, indptr, indices)
-
-
-def idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
-    return _ACTIVE["idom_lt"](n, root, out_indptr, out_indices, pred_indptr, pred_indices)
-
-
-def bfs_depth(n, src, limit, indptr, indices):
-    return _ACTIVE["bfs_depth"](n, src, limit, indptr, indices)
-
-
-def reach(n, src, indptr, indices):
-    return _ACTIVE["reach"](n, src, indptr, indices)
-
-
-def reach_skip_vertices(n, src, indptr, indices, blocked):
-    return _ACTIVE["reach_skip_vertices"](n, src, indptr, indices, blocked)
-
-
-def reach_skip_edges(n, src, indptr, indices, eids, blocked_edges):
-    return _ACTIVE["reach_skip_edges"](n, src, indptr, indices, eids, blocked_edges)
-
-
-def maxflow_upto_k(nn, s, t, k, f_indptr, f_arcs, head, cap, flow):
-    return _ACTIVE["maxflow_upto_k"](nn, s, t, k, f_indptr, f_arcs, head, cap, flow)
-
-
 def residual_reach(nn, s, f_indptr, f_arcs, head, cap, flow):
-    return _ACTIVE["residual_reach"](nn, s, f_indptr, f_arcs, head, cap, flow)
+    """Nodes reachable from s over arcs with residual capacity, as uint8 0/1."""
+    ptr = f_indptr.tolist()
+    arcs = f_arcs.tolist()
+    hd = head.tolist()
+    open_ = (cap > flow).tolist()
+    vis = [0] * nn
+    vis[s] = 1
+    q = [s]
+    for u in q:
+        for a in arcs[ptr[u]:ptr[u + 1]]:
+            if open_[a]:
+                w = hd[a]
+                if not vis[w]:
+                    vis[w] = 1
+                    q.append(w)
+    return np.array(vis, dtype=np.uint8)

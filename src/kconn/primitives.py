@@ -37,31 +37,37 @@ def scc_raw(n, verts, us, vs):
     tuples, ordered (and numbered) by smallest member; has_in/has_out mark
     components with incoming/outgoing cross edges.
     """
-    verts_arr = np.asarray(sorted(verts), dtype=_I)
+    verts = sorted(map(int, verts))
     indptr, indices = build_csr(n, us, vs)
-    labels, ncomp = kernels.tarjan_scc(n, verts_arr, indptr, indices)
-    members = [[] for _ in range(ncomp)]
-    for v in verts_arr:
-        members[labels[v]].append(int(v))
-    order = sorted(range(ncomp), key=lambda c: members[c][0])
-    rank = [0] * ncomp
-    for new, old in enumerate(order):
-        rank[old] = new
-    comp_of = np.full(n, -1, dtype=_I)
-    comps = []
-    for old in order:
-        for v in members[old]:
-            comp_of[v] = rank[old]
-        comps.append(tuple(sorted(members[old])))
-    has_in = [False] * ncomp
-    has_out = [False] * ncomp
-    for u, v in zip(us, vs):
+    labels, _ = kernels.tarjan_scc(n, verts, indptr, indices)
+    labels = labels.tolist()
+    # verts is ascending, so the first member seen of each component is its
+    # smallest and numbering on first sight orders components by it
+    rank = {}
+    members = []
+    comp_of = [-1] * n
+    for v in verts:
+        c = rank.get(labels[v])
+        if c is None:
+            c = rank[labels[v]] = len(members)
+            members.append([])
+        members[c].append(v)
+        comp_of[v] = c
+    comps = [tuple(m) for m in members]
+    has_in = [False] * len(comps)
+    has_out = [False] * len(comps)
+    for u, v in zip(_ints(us), _ints(vs)):
         cu = comp_of[u]
         cv = comp_of[v]
         if cu != cv:
             has_in[cv] = True
             has_out[cu] = True
-    return comp_of, comps, has_in, has_out
+    return np.array(comp_of, dtype=_I), comps, has_in, has_out
+
+
+def _ints(a):
+    """``a`` as a list of Python ints (numpy arrays are copied with tolist)."""
+    return a.tolist() if isinstance(a, np.ndarray) else a
 
 
 def top_scc_of(n, verts, us, vs, exclude=()):
@@ -127,43 +133,79 @@ def idoms_raw(n, root, us, vs):
     return kernels.idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices)
 
 
+def _compact(n, root, us, vs):
+    """Renumber root and the edge endpoints 0..k-1, keeping their order.
+
+    Returns (ids, root, us, vs) in local numbers, with ids[local] the
+    original id.  Callers search a small subgraph of a large id space, so
+    this keeps their kernel calls proportional to the subgraph.
+    """
+    us = np.asarray(us, dtype=_I)
+    vs = np.asarray(vs, dtype=_I)
+    used = np.zeros(n, dtype=bool)
+    used[us] = True
+    used[vs] = True
+    used[root] = True
+    local = np.cumsum(used) - 1
+    return np.flatnonzero(used).tolist(), int(local[root]), local[us], local[vs]
+
+
 def dominator_set_raw(n, root, us, vs):
     """All vertex-dominators of the flow graph, as {dominator: smallest child}."""
-    idom = idoms_raw(n, root, us, vs)
+    ids, root, us, vs = _compact(n, root, us, vs)
+    idom = idoms_raw(len(ids), root, us, vs).tolist()
     witness = {}
-    for v in range(n):
-        if v == root or idom[v] < 0:
+    for v, p in enumerate(idom):
+        if v == root or p < 0 or p == root:
             continue
-        p = int(idom[v])
-        if p == root:
-            continue
-        if p not in witness or v < witness[p]:
-            witness[p] = v
+        if ids[p] not in witness:
+            witness[ids[p]] = ids[v]
     return witness
 
 
 def edge_dominators_raw(n, root, us, vs):
     """Indices of edge-dominators: edges e=(u,v) on every root->v path.
 
-    Uses the split construction: each edge becomes a node; e dominates some
-    vertex iff the split node is the immediate dominator of its head.
+    Italiano, Laura and Santaroni (2012): e=(u,v) dominates its head v iff
+    u = idom(v), e is the only u->v edge, and v dominates every other
+    predecessor of v that root reaches.  Dominance is read off pre/post
+    numbers of the dominator tree.  Indices are returned sorted by head;
+    each vertex has at most one edge-dominator ending at it.
     """
-    m = len(us)
-    if m == 0:
+    if len(us) == 0:
         return []
-    us = np.asarray(us, dtype=_I)
-    vs = np.asarray(vs, dtype=_I)
-    enodes = n + np.arange(m, dtype=_I)
-    us2 = np.concatenate([us, enodes])
-    vs2 = np.concatenate([enodes, vs])
-    idom = idoms_raw(n + m, root, us2, vs2)
-    out = []
-    for v in range(n):
-        if v == root or idom[v] < 0:
+    ids, root, us, vs = _compact(n, root, us, vs)
+    n = len(ids)
+    idom = idoms_raw(n, root, us, vs).tolist()
+    children = [[] for _ in range(n)]
+    for v, p in enumerate(idom):
+        if p >= 0 and v != root:
+            children[p].append(v)
+    pre = [0] * n
+    post = [0] * n
+    clock = 0
+    stack = [(root, False)]
+    while stack:
+        v, done = stack.pop()
+        clock += 1
+        if done:
+            post[v] = clock
             continue
-        if idom[v] >= n:
-            out.append(int(idom[v] - n))
-    return out
+        pre[v] = clock
+        stack.append((v, True))
+        stack.extend((c, False) for c in children[v])
+    # per head v: the index of an idom(v)->v edge (-1: none, -2: several)
+    # and whether some other reachable predecessor escapes v's subtree
+    cand = [-1] * n
+    ok = [True] * n
+    for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        if v == root or idom[u] < 0:
+            continue
+        if u == idom[v]:
+            cand[v] = i if cand[v] == -1 else -2
+        elif pre[u] < pre[v] or post[u] > post[v]:
+            ok[v] = False
+    return [c for c, good in zip(cand, ok) if c >= 0 and good]
 
 
 def dominator_vertices(fg):
@@ -262,9 +304,8 @@ class FlowNet:
         self.head = np.asarray(self._heads, dtype=_I)
         self.cap = np.asarray(self._caps, dtype=_I)
         self.flow = np.zeros(len(self.head), dtype=_I)
-        tails = np.asarray(self._tails, dtype=_I)
         arc_ids = np.arange(len(self.head), dtype=_I)
-        self.f_indptr, self.f_arcs = _csr_arcs(self.n, tails, arc_ids)
+        self.f_indptr, self.f_arcs = build_csr(self.n, self._tails, arc_ids)
         self._frozen = True
 
     def maxflow(self, s, t, k):
@@ -280,14 +321,6 @@ class FlowNet:
         return kernels.residual_reach(
             self.n, s, self.f_indptr, self.f_arcs, self.head, self.cap, self.flow
         )
-
-
-def _csr_arcs(n, tails, arc_ids):
-    counts = np.bincount(tails, minlength=n) if len(tails) else np.zeros(n, dtype=_I)
-    indptr = np.zeros(n + 1, dtype=_I)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(tails, kind="stable")
-    return indptr, arc_ids[order]
 
 
 class EdgeFlowNet:
@@ -348,7 +381,6 @@ class VertexFlowNet:
         vis = self.net.residual_visited(2 * s + 1)
         out = []
         for v in range(self.n):
-            a = self.internal[v]
             if vis[2 * v] and not vis[2 * v + 1]:
                 out.append(v)
         return out

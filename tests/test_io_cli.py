@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kconn import BenchMismatch, ParseError, build_graph, kscc
+from kconn import BenchMismatch, GraphError, ParseError, build_graph, kscc
 from kconn.bench import bench_run
 from kconn.cli import main
 from kconn.graphio import (
@@ -260,18 +260,35 @@ class TestBench:
                 "mode": "edge",
             })
 
-    def test_backend_comparison(self):
-        from kconn import kernels
+    def test_unknown_config_key_rejected(self):
+        with pytest.raises(GraphError, match="backends"):
+            bench_run({"algorithms": ["kscc"], "backends": ["python"]})
 
-        if "numba" not in kernels.available_backends():
-            pytest.skip("numba unavailable")
-        reports = bench_run({
-            "algorithms": ["kscc"],
-            "generator": {"kind": "random", "p": 0.2},
-            "sizes": [12],
-            "seeds": [1],
-            "backends": ["numba", "python"],
-        })
-        assert {r.backend for r in reports} == {"numba", "python"}
-        digests = {r.digest for r in reports}
-        assert len(digests) == 1
+    def test_cli_config_error_exit_code(self, tmp_path, capsys):
+        config = {
+            "algorithms": ["kscc", "naive", "sparse2e"],
+            "generator": {"kind": "random", "p": 0.5},
+            "sizes": [200, 400, 800],
+            "seeds": [0, 1, 2, 3, 4],
+            "k": 2,
+            "mode": "edge",
+            "backends": ["python"],
+        }
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["bench", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "GraphError"
+        assert "backends" in err["message"]
+
+    def test_cli_malformed_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text("{not json", encoding="utf-8")
+        assert main(["bench", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "GraphError"
+
+    def test_report_backend_field(self):
+        reports = bench_run({"algorithms": ["kscc"], "sizes": [8], "seeds": [1]})
+        assert [r.as_dict()["backend"] for r in reports] == ["python"]

@@ -1,16 +1,10 @@
-import pytest
+from itertools import combinations, permutations
 
 from kconn import kernels
 from kconn.graphio import gen_random
-from kconn.primitives import idoms_raw, scc_raw
+from kconn.primitives import EdgeFlowNet, VertexFlowNet, idoms_raw, scc_raw
 
-from conftest import brute_dominators, reach_set
-
-
-needs_both = pytest.mark.skipif(
-    "numba" not in kernels.available_backends(),
-    reason="numba backend not available",
-)
+from conftest import brute_dominators, brute_sccs, reach_set
 
 
 def test_build_csr_stable_order():
@@ -19,52 +13,67 @@ def test_build_csr_stable_order():
     assert indices.tolist() == [2, 1, 1, 0]  # per-source input order kept
 
 
-def test_backend_flag_roundtrip():
-    start = kernels.backend()
-    kernels.set_backend("python")
-    assert kernels.backend() == "python"
-    kernels.set_backend(start)
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-
-
-@needs_both
-def test_scc_parity_across_backends():
+def test_scc_matches_brute_sccs():
     for seed in range(15):
         g = gen_random(12, 0.25, seed)
         us, vs = g.edge_arrays()
-        results = {}
-        for backend in kernels.available_backends():
-            kernels.set_backend(backend)
-            results[backend] = scc_raw(g.n, range(g.n), us, vs)[1]
-        kernels.set_backend("numba")
-        assert results["numba"] == results["python"]
+        comps = scc_raw(g.n, range(g.n), us, vs)[1]
+        assert {frozenset(c) for c in comps} == brute_sccs(g.n, g.edge_list)
 
 
-@needs_both
-def test_dominator_parity_across_backends():
+def test_idoms_match_brute_force():
     for seed in range(15):
         g = gen_random(12, 0.3, seed)
         us, vs = g.edge_arrays()
-        results = {}
-        for backend in kernels.available_backends():
-            kernels.set_backend(backend)
-            results[backend] = idoms_raw(g.n, 0, us, vs).tolist()
-        kernels.set_backend("numba")
-        assert results["numba"] == results["python"]
+        idom = idoms_raw(g.n, 0, us, vs).tolist()
+        base = reach_set(g.n, g.edge_list, 0)
+        # strict dominators of w: the root plus every vertex whose removal cuts w off
+        strict = {
+            w: {0} | {v for v in base - {0, w}
+                      if w not in reach_set(g.n, g.edge_list, 0, drop_v=[v])}
+            for w in base - {0}
+        }
+        for w in range(g.n):
+            if w == 0:
+                assert idom[w] == 0
+            elif w not in base:
+                assert idom[w] == -1
+            else:
+                # the immediate dominator is the strict dominator that all others dominate
+                assert idom[w] == max(strict[w], key=lambda v: len(strict.get(v, ())))
+        assert {p for p in idom if p > 0} == set(brute_dominators(g.n, g.edge_list, 0))
 
 
-@needs_both
-def test_flow_parity_across_backends(bowtie):
-    from kconn.primitives import VertexFlowNet
+def _brute_cut_size(n, edges, s, t, k, mode):
+    """Fewest edges (vertices other than s and t) cutting t off from s, capped at k."""
+    if mode == "edge":
+        pool = edges
+    elif (s, t) in edges:
+        return k
+    else:
+        pool = [v for v in range(n) if v not in (s, t)]
+    for size in range(k):
+        for drop in combinations(pool, size):
+            if mode == "edge":
+                after = reach_set(n, edges, s, drop_e=drop)
+            else:
+                after = reach_set(n, edges, s, drop_v=drop)
+            if t not in after:
+                return size
+    return k
 
-    values = {}
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        net = VertexFlowNet(bowtie.n, bowtie.edge_list, 3)
-        values[backend] = [net.query(0, t, 3)[0] for t in range(1, 5)]
-    kernels.set_backend("numba")
-    assert values["numba"] == values["python"]
+
+def test_flow_values_match_removal_counts():
+    k = 3
+    for seed in range(6):
+        g = gen_random(7, 0.4, seed)
+        edge_net = EdgeFlowNet(g.n, g.edge_list)
+        vertex_net = VertexFlowNet(g.n, g.edge_list, k)
+        for s, t in permutations(range(g.n), 2):
+            expect_e = _brute_cut_size(g.n, g.edge_list, s, t, k, "edge")
+            expect_v = _brute_cut_size(g.n, g.edge_list, s, t, k, "vertex")
+            assert edge_net.query(s, t, k)[0] == expect_e
+            assert vertex_net.query(s, t, k)[0] == expect_v
 
 
 def test_bfs_depth_kernel():

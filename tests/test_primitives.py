@@ -19,7 +19,11 @@ from kconn import (
     top_scc_excluding,
 )
 from kconn.graphio import gen_random
-from kconn.primitives import increases_scc_count, pairwise_k_connected_impl
+from kconn.primitives import (
+    edge_dominators_raw,
+    increases_scc_count,
+    pairwise_k_connected_impl,
+)
 
 from conftest import (
     brute_dominators,
@@ -124,6 +128,21 @@ class TestDominators:
             got = edge_dominator(fg)
             want = brute_edge_dominators(g.n, g.edge_list, 0)
             assert got == (min(want) if want else None)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_edge_dominators_raw_multigraph(self, data):
+        # parallel edges, self-loops, unreachable vertices and any root; the
+        # oracle drops one edge index at a time, so parallel copies stay apart
+        n = data.draw(st.integers(1, 7))
+        root = data.draw(st.integers(0, n - 1))
+        vertex = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=16))
+        base = reach_set(n, edges, root)
+        want = [i for i in range(len(edges))
+                if base - reach_set(n, edges[:i] + edges[i + 1:], root)]
+        got = edge_dominators_raw(n, root, [u for u, _ in edges], [v for _, v in edges])
+        assert got == sorted(want, key=lambda i: edges[i][1])
 
 
 class TestStrongBridgesAndArticulationPoints:
