@@ -73,19 +73,21 @@ def build_parser():
     return ap
 
 
-def _print_trace(trace):
-    for ev in trace:
+class _StderrTrace:
+    """Trace sink that writes each event to stderr as it is appended, so a
+    run that fails still leaves the events that led up to the failure."""
+
+    def append(self, ev):
         print(json.dumps(ev, sort_keys=True), file=sys.stderr)
 
 
 def _run_components(args, compute):
     g = parse_graph(args.graph, args.input_format)
-    trace = [] if args.trace else None
+    trace = _StderrTrace() if args.trace else None
     counters = Counters()
     cs = compute(g, trace, counters)
     if trace is not None:
         trace.append({"event": "counters", **counters.as_dict()})
-        _print_trace(trace)
     sys.stdout.write(
         emit_components(cs, args.format, getattr(args, "suppress_degenerate", False))
     )

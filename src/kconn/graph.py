@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphError, InvariantViolation
-from .kernels import build_csr
+from .kernels import build_csr  # noqa: F401  (perfbench/tests patch this binding)
 
 __all__ = [
     "Graph",
@@ -476,7 +476,3 @@ class WorkGraph:
         to_new = {v: i for i, v in enumerate(old_ids)}
         g = Graph(len(old_ids), [(to_new[u], to_new[v]) for u, v in zip(us, vs)])
         return g, old_ids
-
-
-def csr_of(n, us, vs):
-    return build_csr(n, us, vs)

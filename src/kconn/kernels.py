@@ -5,6 +5,10 @@ copies the arrays it reads into Python lists once with ``.tolist()`` and
 loops over those: CPython indexes a list of ints several times faster than
 it indexes a numpy array one scalar at a time.  Results are returned as
 numpy arrays, as callers index and slice them that way.
+
+The flow kernels are the exception: a flow network is queried many times,
+so it is kept in list form (see ``primitives.FlowNet``) and they take and
+return lists.
 """
 
 import numpy as np
@@ -19,6 +23,7 @@ __all__ = [
     "reach_skip_edges",
     "maxflow_upto_k",
     "residual_reach",
+    "residual_tree",
     "build_csr",
     "build_csr_with_eids",
 ]
@@ -293,36 +298,44 @@ def reach_skip_edges(n, src, indptr, indices, eids, blocked_edges):
     return np.array(vis, dtype=np.uint8)
 
 
-def maxflow_upto_k(nn, s, t, k, f_indptr, f_arcs, head, cap, flow):
+def residual_tree(nn, s, t, ptr, arcs, head, res):
+    """Parent arcs of the BFS tree from s over arcs with positive ``res``.
+
+    ``parc[s] == -2`` and ``parc[v] == -1`` for nodes not reached.  The
+    search stops as soon as it reaches t; ``t = -1`` builds the whole tree.
+    """
+    parc = [-1] * nn
+    parc[s] = -2
+    q = [s]
+    for u in q:
+        for a in arcs[ptr[u]:ptr[u + 1]]:
+            if res[a] > 0:
+                w = head[a]
+                if parc[w] == -1:
+                    parc[w] = a
+                    if w == t:
+                        return parc
+                    q.append(w)
+    return parc
+
+
+def maxflow_upto_k(nn, s, t, k, ptr, arcs, head, res, tree=None):
     """Shortest-augmenting-path max-flow, stopping once the value reaches k.
 
-    Arcs are paired: arc a and a^1 are each other's reverse.  The flow found
-    is added to ``flow`` in place.  Returns (value, augmentations).
+    The network is in list form: node u's arcs are ``arcs[ptr[u]:ptr[u+1]]``
+    and arc a and a^1 are each other's reverse.  ``res`` holds the residual
+    capacity of each arc and is updated in place.  ``tree`` may give the
+    parent arcs of a BFS tree from s over the arcs positive in ``res``: it
+    then supplies the first augmenting path, which is the one the stopping
+    search would find.  Returns (value, augmentations).
     """
-    ptr = f_indptr.tolist()
-    arcs = f_arcs.tolist()
-    hd = head.tolist()
-    res = (cap - flow).tolist()  # residual capacity of each arc
     value = 0
     augs = 0
+    parc = tree
     while value < k:
-        parc = [-1] * nn
-        parc[s] = -2
-        q = [s]
-        found = False
-        for u in q:
-            for a in arcs[ptr[u]:ptr[u + 1]]:
-                if res[a] > 0:
-                    w = hd[a]
-                    if parc[w] == -1:
-                        parc[w] = a
-                        if w == t:
-                            found = True
-                            break
-                        q.append(w)
-            if found:
-                break
-        if not found:
+        if parc is None:
+            parc = residual_tree(nn, s, t, ptr, arcs, head, res)
+        if parc[t] == -1:
             break
         b = k - value
         u = t
@@ -330,34 +343,19 @@ def maxflow_upto_k(nn, s, t, k, f_indptr, f_arcs, head, cap, flow):
             a = parc[u]
             if res[a] < b:
                 b = res[a]
-            u = hd[a ^ 1]
+            u = head[a ^ 1]
         u = t
         while u != s:
             a = parc[u]
             res[a] -= b
             res[a ^ 1] += b
-            u = hd[a ^ 1]
+            u = head[a ^ 1]
         value += b
         augs += 1
-    if augs:
-        flow[:] = cap - np.array(res, dtype=_I)
+        parc = None
     return value, augs
 
 
-def residual_reach(nn, s, f_indptr, f_arcs, head, cap, flow):
-    """Nodes reachable from s over arcs with residual capacity, as uint8 0/1."""
-    ptr = f_indptr.tolist()
-    arcs = f_arcs.tolist()
-    hd = head.tolist()
-    open_ = (cap > flow).tolist()
-    vis = [0] * nn
-    vis[s] = 1
-    q = [s]
-    for u in q:
-        for a in arcs[ptr[u]:ptr[u + 1]]:
-            if open_[a]:
-                w = hd[a]
-                if not vis[w]:
-                    vis[w] = 1
-                    q.append(w)
-    return np.array(vis, dtype=np.uint8)
+def residual_reach(nn, s, ptr, arcs, head, res):
+    """Nodes reachable from s over arcs with positive ``res``, as a list of bools."""
+    return [p != -1 for p in residual_tree(nn, s, -1, ptr, arcs, head, res)]

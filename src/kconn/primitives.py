@@ -284,43 +284,59 @@ def strong_bridges(g):
 
 
 class FlowNet:
-    """Residual network with paired arcs (arc a and a^1 are reverses)."""
+    """Residual network with paired arcs (arc a and a^1 are reverses).
+
+    ``freeze`` builds the list form once: CSR pointers over arc ids
+    (``ptr``, ``arcs``), arc heads and base capacities.  Every query starts
+    from zero flow by copying ``cap`` into the residual list ``res``, which
+    the cut readers then inspect.
+
+    From zero flow, a query's first augmenting path is the path to t in the
+    BFS tree from s over the positive arcs.  The second time s is a source
+    that tree is built, and it then supplies the first path of every later
+    query from s.
+    """
 
     def __init__(self, n_nodes):
         self.n = n_nodes
         self._tails = []
-        self._heads = []
-        self._caps = []
-        self._frozen = False
+        self.head = []
+        self.cap = []
 
     def add_arc(self, u, v, c):
         a = len(self._tails)
         self._tails += [u, v]
-        self._heads += [v, u]
-        self._caps += [c, 0]
+        self.head += [v, u]
+        self.cap += [c, 0]
         return a
 
     def freeze(self):
-        self.head = np.asarray(self._heads, dtype=_I)
-        self.cap = np.asarray(self._caps, dtype=_I)
-        self.flow = np.zeros(len(self.head), dtype=_I)
-        arc_ids = np.arange(len(self.head), dtype=_I)
-        self.f_indptr, self.f_arcs = build_csr(self.n, self._tails, arc_ids)
-        self._frozen = True
+        indptr, arcs = build_csr(self.n, self._tails, np.arange(len(self.head), dtype=_I))
+        self.ptr = indptr.tolist()
+        self.arcs = arcs.tolist()
+        self.res = self.cap[:]
+        self._trees = {}  # source -> its zero-flow BFS tree, None if queried once
+
+    def _tree(self, s):
+        if s not in self._trees:
+            self._trees[s] = None
+            return None
+        tree = self._trees[s]
+        if tree is None:
+            tree = self._trees[s] = kernels.residual_tree(
+                self.n, s, -1, self.ptr, self.arcs, self.head, self.cap
+            )
+        return tree
 
     def maxflow(self, s, t, k):
-        if not self._frozen:
-            self.freeze()
-        self.flow[:] = 0
-        value, augs = kernels.maxflow_upto_k(
-            self.n, s, t, k, self.f_indptr, self.f_arcs, self.head, self.cap, self.flow
+        """Flow value capped at k and augmentation count, from zero flow."""
+        self.res = self.cap[:]
+        return kernels.maxflow_upto_k(
+            self.n, s, t, k, self.ptr, self.arcs, self.head, self.res, self._tree(s)
         )
-        return int(value), int(augs)
 
     def residual_visited(self, s):
-        return kernels.residual_reach(
-            self.n, s, self.f_indptr, self.f_arcs, self.head, self.cap, self.flow
-        )
+        return kernels.residual_reach(self.n, s, self.ptr, self.arcs, self.head, self.res)
 
 
 class EdgeFlowNet:
@@ -333,15 +349,15 @@ class EdgeFlowNet:
         self.net.freeze()
 
     def query(self, s, t, k):
-        value, augs = self.net.maxflow(s, t, k)
-        return value, augs
+        return self.net.maxflow(s, t, k)
 
     def mincut_edges(self, s):
         vis = self.net.residual_visited(s)
+        res = self.net.res
         out = []
         for i, a in enumerate(self.arcs):
             u, v = self.edges[i]
-            if vis[u] and not vis[v] and self.net.flow[a] == self.net.cap[a]:
+            if vis[u] and not vis[v] and res[a] == 0:
                 out.append(i)
         return out
 
@@ -350,35 +366,25 @@ class VertexFlowNet:
     """Vertex-capacity network: v splits into 2v (in) -> 2v+1 (out), cap 1.
 
     Graph edges get capacity ``cap_edges`` so only the unit internal arcs can
-    be cut.  Query endpoints are made uncuttable by lifting their internal
-    capacity for the duration of the query.
+    be cut.  A query runs from s's out-node to t's in-node, so no path
+    crosses an endpoint's internal arc and the endpoints are never cut.
     """
 
     def __init__(self, n, edges, cap_edges):
         self.n = n
-        self.cap_edges = cap_edges
         self.net = FlowNet(2 * n)
-        self.internal = [self.net.add_arc(2 * v, 2 * v + 1, 1) for v in range(n)]
+        for v in range(n):
+            self.net.add_arc(2 * v, 2 * v + 1, 1)
         for (u, v) in edges:
             self.net.add_arc(2 * u + 1, 2 * v, cap_edges)
         self.net.freeze()
 
     def query(self, s, t, k):
-        lifted = [(self.internal[v], self.net.cap[self.internal[v]]) for v in {s, t}]
-        for a, _ in lifted:
-            self.net.cap[a] = self.cap_edges
-        value, augs = self.net.maxflow(2 * s + 1, 2 * t, k)
         self._last_s = s
-        for a, old in lifted:
-            self.net.cap[a] = old
-        return value, augs
+        return self.net.maxflow(2 * s + 1, 2 * t, k)
 
     def mincut_vertices(self):
-        # residual reach must see the lifted caps the query used; the cut
-        # never contains the endpoints, so re-lifting is unnecessary: their
-        # internal arcs were not saturated at capacity cap_edges >= k > flow.
-        s = self._last_s
-        vis = self.net.residual_visited(2 * s + 1)
+        vis = self.net.residual_visited(2 * self._last_s + 1)
         out = []
         for v in range(self.n):
             if vis[2 * v] and not vis[2 * v + 1]:

@@ -198,6 +198,29 @@ class TestCli:
         assert any(ev.get("event") == "split" for ev in events)
         assert any(ev.get("event") == "counters" for ev in events)
 
+    def test_trace_streams_before_failure(self, tmp_path, capsys, monkeypatch):
+        from kconn import hierarchy
+
+        real = hierarchy._find_isolated
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise GraphError("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(hierarchy, "_find_isolated", failing)
+        path = self._write(tmp_path, "g.txt", write_edgelist(gen_random(20, 0.15, 0)))
+        assert main(["kvscc", path, "--trace"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = [json.loads(line) for line in captured.err.splitlines()]
+        assert lines[-1] == {"error": "GraphError", "message": "injected failure"}
+        events = [ev["event"] for ev in lines[:-1]]
+        assert events[0] == "level" and "split" in events
+        assert "counters" not in events
+
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         path = self._write(tmp_path, "g.txt", write_edgelist(gen_random(15, 0.2, 4)))
         outs = []

@@ -1,5 +1,8 @@
 from itertools import combinations, permutations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kconn import kernels
 from kconn.graphio import gen_random
 from kconn.primitives import EdgeFlowNet, VertexFlowNet, idoms_raw, scc_raw
@@ -74,6 +77,48 @@ def test_flow_values_match_removal_counts():
             expect_v = _brute_cut_size(g.n, g.edge_list, s, t, k, "vertex")
             assert edge_net.query(s, t, k)[0] == expect_e
             assert vertex_net.query(s, t, k)[0] == expect_v
+
+
+@st.composite
+def _net_queries(draw):
+    n = draw(st.integers(3, 8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=3 * n)))
+    # sources from a small pool, so they repeat and interleave
+    sources = st.integers(0, min(n - 1, 2))
+    queries = draw(st.lists(
+        st.tuples(sources, st.integers(0, n - 1), st.integers(2, 4))
+        .filter(lambda q: q[0] != q[1]),
+        min_size=1, max_size=12,
+    ))
+    return n, edges, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_net_queries())
+def test_reused_flow_nets_match_fresh_nets(case):
+    n, edges, queries = case
+    cap = 4  # at least every k, so only vertices can be cut
+    edge_net = EdgeFlowNet(n, edges)
+    vertex_net = VertexFlowNet(n, edges, cap)
+    for s, t, k in queries:
+        fresh = EdgeFlowNet(n, edges)
+        value, augs = edge_net.query(s, t, k)
+        assert (value, augs) == fresh.query(s, t, k)
+        cut = edge_net.mincut_edges(s)
+        assert cut == fresh.mincut_edges(s)
+        if value < k:
+            assert len(cut) == value
+            assert t not in reach_set(n, edges, s, drop_e=[edges[i] for i in cut])
+
+        fresh = VertexFlowNet(n, edges, cap)
+        value, augs = vertex_net.query(s, t, k)
+        assert (value, augs) == fresh.query(s, t, k)
+        cut = vertex_net.mincut_vertices()
+        assert cut == fresh.mincut_vertices()
+        if value < k:
+            assert len(cut) == value and s not in cut and t not in cut
+            assert t not in reach_set(n, edges, s, drop_v=cut)
 
 
 def test_bfs_depth_kernel():
