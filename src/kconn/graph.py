@@ -331,11 +331,12 @@ def project_components(mapping, comps):
 class WorkGraph:
     """Mutable working view of a graph for the decomposition drivers.
 
-    Holds an alive-vertex mask plus per-vertex adjacency lists that may
-    contain obsolete entries (endpoints no longer alive, or tombstoned
-    edges).  Obsolete entries are physically purged when a scan encounters
-    them, which keeps the amortized cleanup cost linear: sibling branches of
-    a split never share an alive vertex, so each owns the lists it scans.
+    Holds an alive-vertex mask (a list of bools) plus per-vertex adjacency
+    lists that may contain obsolete entries (endpoints no longer alive, or
+    tombstoned edges).  Obsolete entries are physically purged when a scan
+    encounters them, which keeps the amortized cleanup cost linear: sibling
+    branches of a split never share an alive vertex, so each owns the lists
+    it scans.
     """
 
     __slots__ = ("n", "alive", "verts", "in_l", "out_l", "dead", "parallel")
@@ -344,7 +345,7 @@ class WorkGraph:
         if g is None:
             return
         self.n = g.n
-        self.alive = np.ones(g.n, dtype=bool)
+        self.alive = [True] * g.n
         self.verts = list(range(g.n))
         self.in_l = [list(a) for a in g.in_adj]
         self.out_l = [list(a) for a in g.out_adj]
@@ -364,115 +365,131 @@ class WorkGraph:
         """
         w = WorkGraph()
         w.n = self.n
-        w.alive = np.zeros(self.n, dtype=bool)
+        alive = [False] * self.n
         ks = sorted(keep)
         for v in ks:
-            w.alive[v] = True
+            alive[v] = True
+        w.alive = alive
         w.verts = ks
         w.in_l = list(self.in_l)
         w.out_l = list(self.out_l)
         w.dead = self.dead
         w.parallel = self.parallel
-        dead = self.dead
         for z in rebuild:
-            if w.alive[z]:
-                w.in_l[z] = [u for u in self.in_l[z]
-                             if w.alive[u] and (not dead or (u, z) not in dead)]
-                w.out_l[z] = [u for u in self.out_l[z]
-                              if w.alive[u] and (not dead or (z, u) not in dead)]
+            if alive[z]:
+                w.in_l[z] = w.live_in(z)
+                w.out_l[z] = w.live_out(z)
         return w
 
     def delete_edges(self, edges):
         self.dead.update(edges)
 
-    def _scan(self, v, lst, rev, cap, out_u, out_v, counters):
-        """Compact lst in place while collecting up to ``cap`` alive entries.
+    def _collect(self, verts, lists, rev, cap):
+        """Scan ``lists[v]`` for every v in verts, compacting each in place.
 
-        Returns the number of alive entries seen (capped at cap+1, at which
-        point v is known to be blue and the scan stops).
+        Collects the first ``cap`` alive entries of each list as edges (u, v),
+        and stops a list at its (cap+1)-th alive entry, which makes v blue.
+        Entries read before that point that are obsolete are purged.
+        Returns (us, vs, blue, number of entries read).
         """
         alive = self.alive
         dead = self.dead
-        check_dead = bool(dead)
-        r = 0
-        w = 0
-        taken = 0
+        us, vs, blue = [], [], []
         scanned = 0
-        L = len(lst)
-        while r < L:
-            u = lst[r]
-            scanned += 1
-            ok = alive[u]
-            if ok and check_dead:
-                key = (v, u) if rev else (u, v)
-                ok = key not in dead
-            if ok:
-                lst[w] = u
-                w += 1
-                taken += 1
-                if taken <= cap:
-                    out_u.append(u)
-                    out_v.append(v)
+        for v in verts:
+            lst = lists[v]
+            L = len(lst)
+            if L <= cap:
+                # the scan cannot stop early: read and compact the whole list
+                if dead:
+                    if rev:
+                        kept = [u for u in lst if alive[u] and (v, u) not in dead]
+                    else:
+                        kept = [u for u in lst if alive[u] and (u, v) not in dead]
                 else:
-                    r += 1
-                    break
-            r += 1
-        if counters is not None:
-            counters.scanned(scanned)
-        if w < r:
-            del lst[w:r]
-        return taken
+                    kept = [u for u in lst if alive[u]]
+                scanned += L
+                if len(kept) < L:
+                    lst[:] = kept
+                us += kept
+                vs += [v] * len(kept)
+                continue
+            r = w = 0
+            while r < L:
+                u = lst[r]
+                r += 1
+                if alive[u] and (not dead or ((v, u) if rev else (u, v)) not in dead):
+                    lst[w] = u
+                    w += 1
+                    if w > cap:
+                        blue.append(v)
+                        break
+                    us.append(u)
+                    vs.append(v)
+            scanned += r
+            if w < r:
+                del lst[w:r]
+        return us, vs, blue, scanned
 
     def level_edges(self, i, rev, counters=None):
         """Level-i edge arrays in the chosen orientation plus the blue set.
 
         Forward scans in-lists; reverse scans out-lists (in-lists of the
         reverse graph).  Edges come out oriented for the scanned direction.
+        The entries read are charged to ``counters.level``.
         """
-        cap = 1 << i
-        lists = self.out_l if rev else self.in_l
-        us, vs, blue = [], [], []
-        for v in self.verts:
-            taken = self._scan(v, lists[v], rev, cap, us, vs, counters)
-            if taken > cap:
-                blue.append(v)
+        us, vs, blue, scanned = self._collect(
+            self.verts, self.out_l if rev else self.in_l, rev, 1 << i)
+        if counters is not None:
+            counters.level(scanned)
         return us, vs, blue
 
     def all_edges(self, counters=None):
-        """All alive edges (forward orientation), purging as it scans."""
-        us, vs = [], []
-        big = self.n + 1
-        for v in self.verts:
-            self._scan(v, self.in_l[v], False, big, us, vs, counters)
-        return us, vs
+        """All alive edges (forward orientation), purging as it scans.
 
-    def all_edges_with_degrees(self, counters=None):
-        us, vs = self.all_edges(counters)
-        indeg = {}
-        outdeg = {}
-        for u, v in zip(us, vs):
-            outdeg[u] = outdeg.get(u, 0) + 1
-            indeg[v] = indeg.get(v, 0) + 1
-        gamma = 0
-        if us:
-            gamma = min(max(indeg.values()), max(outdeg.values()))
-        return us, vs, gamma
+        The entries read are charged to ``counters.whole``.
+        """
+        us, vs, _, scanned = self._collect(self.verts, self.in_l, False, self.n + 1)
+        if counters is not None:
+            counters.whole(scanned)
+        return us, vs
 
     def out_neighbors(self, v):
         """Alive out-neighbors of v, purging obsolete entries."""
-        us, vs = [], []
-        self._scan(v, self.out_l[v], True, self.n + 1, us, vs, None)
-        return us
+        kept = self.live_out(v)
+        if len(kept) < len(self.out_l[v]):
+            self.out_l[v][:] = kept
+        return kept
 
     def in_neighbors(self, v):
-        us, vs = [], []
-        self._scan(v, self.in_l[v], False, self.n + 1, us, vs, None)
-        return us
+        kept = self.live_in(v)
+        if len(kept) < len(self.in_l[v]):
+            self.in_l[v][:] = kept
+        return kept
+
+    def live_in(self, v):
+        """Alive in-neighbors of v, read without purging."""
+        alive = self.alive
+        dead = self.dead
+        if dead:
+            return [u for u in self.in_l[v] if alive[u] and (u, v) not in dead]
+        return [u for u in self.in_l[v] if alive[u]]
+
+    def live_out(self, v):
+        """Alive out-neighbors of v, read without purging."""
+        alive = self.alive
+        dead = self.dead
+        if dead:
+            return [u for u in self.out_l[v] if alive[u] and (v, u) not in dead]
+        return [u for u in self.out_l[v] if alive[u]]
 
     def to_graph(self):
-        """Materialize the alive subgraph as a re-indexed Graph plus id map."""
-        us, vs = self.all_edges()
+        """Materialize the alive subgraph as a re-indexed Graph plus id map.
+
+        Reads the lists without purging them, in the order ``all_edges``
+        would return the edges.
+        """
         old_ids = list(self.verts)
         to_new = {v: i for i, v in enumerate(old_ids)}
-        g = Graph(len(old_ids), [(to_new[u], to_new[v]) for u, v in zip(us, vs)])
-        return g, old_ids
+        edges = [(to_new[u], to_new[v]) for v in old_ids for u in self.live_in(v)]
+        return Graph(len(old_ids), edges), old_ids

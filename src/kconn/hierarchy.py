@@ -33,8 +33,8 @@ class Counters:
 
     ``level_edges`` counts every adjacency entry touched by level searches
     (construction scans plus per-pass edge work); ``whole_edges`` the same for
-    whole-graph searches and validation.  The phase attribute routes the
-    working-graph scan counts.
+    whole-graph searches.  Validation reads the working graph without
+    charging either, so it leaves every count unchanged.
     """
 
     def __init__(self):
@@ -43,13 +43,6 @@ class Counters:
         self.flow_augmentations = 0
         self.bfs_ball_edges = 0
         self.splits = 0
-        self.phase = "whole"
-
-    def scanned(self, c):
-        if self.phase == "level":
-            self.level_edges += c
-        else:
-            self.whole_edges += c
 
     def level(self, c):
         self.level_edges += c
@@ -248,7 +241,6 @@ def _search_side(wk, i, k, mode, us, vs, blue, side, counters):
 
 def _whole_search(wk, k, mode, counters):
     """Whole-graph search: a proper top SCC, else a k-separator split."""
-    counters.phase = "whole"
     us, vs = wk.all_edges(counters)
     counters.whole(len(us))
     S = top_scc_of(wk.n, wk.verts, us, vs)
@@ -283,7 +275,6 @@ def _find_isolated(wk, k, mode, use_levels, counters, trace, validate):
     if run_levels:
         i = 1
         while True:
-            counters.phase = "level"
             usF, vsF, blueF = wk.level_edges(i, False, counters)
             if not blueF:
                 i_star = i
@@ -375,17 +366,34 @@ def check_isolation(g, res, k, mode):
     )
 
 
+def _edges_at(wk, s):
+    """Alive edges of the working graph with an endpoint in s, unpurged.
+
+    Every edge entering a vertex of s (those from s included), then every
+    edge from s to the rest.
+    """
+    s_set = set(s)
+    edges = [(u, v) for v in s for u in wk.live_in(v)]
+    edges += [(v, w) for v in s for w in wk.live_out(v) if w not in s_set]
+    return edges
+
+
 def _validate_split(wk, res, k, mode, rng, counters):
+    """Check a split against the working graph it was found in.
+
+    Reads the working graph without purging it and charges no counter, so a
+    validated run does the same work as an unvalidated one.  The isolation
+    check gets only the edges with an endpoint in S, the only ones it reads.
+    """
     s_set = set(res.s)
     if mode == "vertex":
-        complement = [v for v in wk.verts if v not in s_set and v not in set(res.z)]
+        z_set = set(res.z)
+        complement = [v for v in wk.verts if v not in s_set and v not in z_set]
     else:
         complement = [v for v in wk.verts if v not in s_set]
     if not complement:
         raise InvariantViolation("split leaves an empty complement V \\ (S u Z)")
-    counters.phase = "whole"
-    us, vs = wk.all_edges(counters)
-    edges = list(zip(us, vs))
+    edges = _edges_at(wk, res.s)
     if not check_isolation_core(wk.n, wk.verts, edges, res.s, res.z, res.side, k, mode):
         raise InvariantViolation(
             f"split failed isolation check (provenance {res.provenance}, side {res.side})"
@@ -395,9 +403,14 @@ def _validate_split(wk, res, k, mode, rng, counters):
         to_new = {v: i for i, v in enumerate(old_ids)}
         s_local = [to_new[v] for v in res.s]
         comp_local = [to_new[v] for v in complement]
+        checked = set()
         for _ in range(20):
             u = rng.choice(comp_local)
             v = rng.choice(s_local)
+            # a pair's answer is fixed, and a repeat was answered "no"
+            if (u, v) in checked:
+                continue
+            checked.add((u, v))
             if pairwise_k_connected_impl(sub, u, v, k, mode):
                 raise InvariantViolation(
                     f"cross pair ({old_ids[u]}, {old_ids[v]}) is {k}-connected across a split"
@@ -416,7 +429,6 @@ def k_isolated_set_level(g, i, k, mode, counters=None):
     if (1 << i) >= max(degree_gamma(g), 1):
         raise GraphError(f"level {i} violates 2^i < gamma")
     counters = counters if counters is not None else Counters()
-    counters.phase = "level"
     wk = WorkGraph(g)
     usF, vsF, blueF = wk.level_edges(i, False, counters)
     usR, vsR, blueR = wk.level_edges(i, True, counters)
@@ -459,11 +471,19 @@ def _assemble(g, k, mode, pieces, validate):
     for p in uniq:
         if not any(p < q for q in kept):
             kept.append(p)
+    # components may share up to k-1 vertices, so an edge can lie in several
+    member = [set() for _ in range(g.n)]
+    for ci, p in enumerate(kept):
+        for v in p:
+            member[v].add(ci)
+    inner = [[] for _ in kept]
+    for (u, v) in g.edge_list:
+        for ci in member[u] & member[v]:
+            inner[ci].append((u, v))
     comps = []
-    for p in kept:
+    for p, es in zip(kept, inner):
         vs = tuple(sorted(p))
-        es = tuple(sorted((u, v) for (u, v) in g.edge_list if u in p and v in p))
-        comps.append(Component(vertices=vs, edges=es, degenerate=len(vs) < 3))
+        comps.append(Component(vertices=vs, edges=tuple(sorted(es)), degenerate=len(vs) < 3))
     comps.sort(key=lambda c: c.vertices)
     if validate and k == 2:
         seen_edges = set()

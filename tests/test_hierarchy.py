@@ -10,9 +10,13 @@ from kconn import (
     k_isolated_set_level,
     kscc,
     naive_kscc,
+    two_escc_sparse,
 )
+from kconn import hierarchy
+from kconn.errors import InvariantViolation
+from kconn.graph import WorkGraph
 from kconn.graphio import gen_adversarial_chain, gen_random
-from kconn.hierarchy import Counters, IsolationResult
+from kconn.hierarchy import Counters, IsolationResult, check_isolation_core
 from kconn.oracle import brute_force_kscc
 
 
@@ -271,3 +275,123 @@ class TestKscc:
         assert "split" in events and "component" in events
         split = next(ev for ev in trace if ev["event"] == "split")
         assert {"provenance", "side", "s_size", "z_size"} <= set(split)
+
+
+def _split_once(monkeypatch, s, z, side="forward"):
+    """Make the driver's first search on the whole graph report (s, z)."""
+
+    def fake(wk, *args):
+        if wk.n_alive == wk.n:
+            return IsolationResult(list(s), list(z), side, "planted")
+        return None
+
+    monkeypatch.setattr(hierarchy, "_find_isolated", fake)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("mode", ["edge", "vertex"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_counters_do_not_depend_on_validate(self, mode, k):
+        graphs = [gen_random(40, 0.06, 1), gen_random(60, 0.05, 2),
+                  gen_random(30, 0.1, 3), gen_random(24, 0.4, 4)]
+        for g in graphs:
+            on, off = Counters(), Counters()
+            a = kscc(g, k, mode, validate=True, counters=on)
+            b = kscc(g, k, mode, validate=False, counters=off)
+            assert a == b
+            assert on.as_dict() == off.as_dict()
+
+    def test_scan_counts_pinned(self):
+        # WorkGraph scans purge what they read, so every later count depends
+        # on exactly which entries each scan reads and purges
+        g = gen_random(60, 0.05, 2)
+        expect = [
+            (2, "vertex", {"level_edges": 15226, "whole_edges": 395, "splits": 85}),
+            (2, "edge", {"level_edges": 14605, "whole_edges": 291, "splits": 59}),
+        ]
+        for k, mode, want in expect:
+            c = Counters()
+            kscc(g, k, mode, counters=c)
+            got = c.as_dict()
+            assert {key: got[key] for key in want} == want
+        c = Counters()
+        two_escc_sparse(g, counters=c)
+        assert (c.whole_edges, c.bfs_ball_edges) == (1523, 104)
+
+    @pytest.mark.parametrize("mode", ["edge", "vertex"])
+    def test_split_not_strongly_connected(self, monkeypatch, mode):
+        # {0, 1} has no entering edge but only the edge 0 -> 1 inside
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 2)])
+        _split_once(monkeypatch, [0, 1], [])
+        with pytest.raises(InvariantViolation, match="isolation check"):
+            kscc(g, 2, mode)
+        kscc(g, 2, mode, validate=False)
+
+    @pytest.mark.parametrize("z", [[], [(5, 0)], [(2, 3), (5, 0)]])
+    def test_split_with_wrong_entering_edges(self, monkeypatch, two_cycle_bridge, z):
+        # {3, 4, 5} is entered by the single edge (2, 3)
+        _split_once(monkeypatch, [3, 4, 5], z)
+        with pytest.raises(InvariantViolation, match="isolation check"):
+            kscc(two_cycle_bridge, 2, "edge")
+
+    @pytest.mark.parametrize("z", [[], [3]])
+    def test_split_with_wrong_separator(self, monkeypatch, bowtie, z):
+        # {0, 1} is entered only from the cut vertex 2
+        _split_once(monkeypatch, [0, 1], z)
+        with pytest.raises(InvariantViolation, match="isolation check"):
+            kscc(bowtie, 2, "vertex")
+
+    def test_reverse_split_with_wrong_leaving_edges(self, monkeypatch, two_cycle_bridge):
+        # reverse side: {0, 1, 2} is left by the single edge (2, 3)
+        _split_once(monkeypatch, [0, 1, 2], [(5, 0)], side="reverse")
+        with pytest.raises(InvariantViolation, match="isolation check"):
+            kscc(two_cycle_bridge, 2, "edge")
+
+    @pytest.mark.parametrize("mode", ["edge", "vertex"])
+    def test_split_through_k_connected_pair(self, monkeypatch, k4b, mode):
+        # every pair of the complete digraph on 4 vertices is 3-connected;
+        # with the isolation check waved through, the sampled Menger check
+        # must still refuse the split
+        _split_once(monkeypatch, [0, 1], [])
+        monkeypatch.setattr(hierarchy, "check_isolation_core", lambda *a: True)
+        with pytest.raises(InvariantViolation, match="cross pair"):
+            kscc(k4b, 3, mode)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edges_at_s_decide_isolation(self, data):
+        n = data.draw(st.integers(2, 9))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30))
+        wk = WorkGraph(build_graph(n, edges))
+        keep = data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=2))
+        rebuild = data.draw(st.lists(st.sampled_from(keep), unique=True, max_size=2))
+        wk.delete_edges(data.draw(st.lists(st.sampled_from(pairs), max_size=8)))
+        wk = wk.restrict(keep, rebuild=rebuild)
+        if data.draw(st.booleans()):
+            wk.level_edges(1, data.draw(st.booleans()))
+        s = data.draw(st.lists(st.sampled_from(wk.verts), unique=True, min_size=1))
+        side = data.draw(st.sampled_from(["forward", "reverse"]))
+        mode = data.draw(st.sampled_from(["edge", "vertex"]))
+
+        before = (list(map(list, wk.in_l)), list(map(list, wk.out_l)))
+        local = hierarchy._edges_at(wk, s)
+        assert (list(map(list, wk.in_l)), list(map(list, wk.out_l))) == before
+        us, vs = wk.all_edges()
+        full = list(zip(us, vs))
+        assert set(local) <= set(full) and len(local) == len(set(local))
+
+        # the entering edges (or their sources) of s, exact or perturbed
+        s_set = set(s)
+        if side == "forward":
+            cross = [(u, v) for (u, v) in full if v in s_set and u not in s_set]
+        else:
+            cross = [(u, v) for (u, v) in full if u in s_set and v not in s_set]
+        z = sorted({u if side == "forward" else v for (u, v) in cross}
+                   if mode == "vertex" else cross)
+        if z and data.draw(st.booleans()):
+            z = z[1:]
+        k = data.draw(st.sampled_from([2, len(z) + 1, len(z) + 2]))
+        k = max(k, 2)
+        assert check_isolation_core(wk.n, wk.verts, local, s, z, side, k, mode) == \
+            check_isolation_core(wk.n, wk.verts, full, s, z, side, k, mode)
