@@ -17,7 +17,6 @@ __all__ = [
     "backend",
     "tarjan_scc",
     "idom_lt",
-    "bfs_depth",
     "reach",
     "reach_skip_vertices",
     "reach_skip_edges",
@@ -130,8 +129,12 @@ def tarjan_scc(n, verts, indptr, indices):
 
 
 def idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
-    """Immediate dominators via Lengauer-Tarjan with path compression.
+    """Immediate dominators: Lengauer-Tarjan semidominators, then Semi-NCA.
 
+    Semidominators come from the Lengauer-Tarjan pass with path
+    compression; each idom is then the nearest common ancestor of the DFS
+    parent and the semidominator in the dominator tree built so far
+    (Georgiadis, Tarjan and Werneck, "Finding Dominators in Practice").
     idom[root] == root; idom[v] == -1 for vertices unreachable from root.
     """
     optr = out_indptr.tolist()
@@ -139,11 +142,12 @@ def idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
     pptr = pred_indptr.tolist()
     padj = pred_indices.tolist()
 
-    # DFS preorder: dfnum[v] is v's number, vertex[i] the i-th vertex.
+    # DFS preorder: dfnum[v] is v's number, vertex[i] the i-th vertex and
+    # parent[i] the number of its DFS parent.
     dfnum = [-1] * n
-    parent = [-1] * n
     dfnum[root] = 0
     vertex = [root]
+    parent = [0]
     cs_v = [root]
     cs_e = [optr[root]]
     while cs_v:
@@ -157,7 +161,7 @@ def idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
                 cs_e[-1] = e
                 dfnum[w] = len(vertex)
                 vertex.append(w)
-                parent[w] = v
+                parent.append(dfnum[v])
                 cs_v.append(w)
                 cs_e.append(optr[w])
                 break
@@ -165,84 +169,59 @@ def idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
             cs_v.pop()
             cs_e.pop()
 
-    semi = dfnum[:]
-    ancestor = [-1] * n
-    best = list(range(n))
-    idom = [-1] * n
-    samedom = [-1] * n
-    bhead = [-1] * n
-    bnext = [-1] * n
+    # Everything below works in preorder numbers.  anc is the linked
+    # forest; label[x] is the smallest semidominator on x's path to the
+    # root of its forest tree (that root excluded).
+    count = len(vertex)
+    semi = list(range(count))
+    label = list(range(count))
+    anc = [-1] * count
 
-    def evaluate(v):
-        """Ancestor of v with the lowest semi, compressing the path."""
+    def compress(j):
         path = []
-        x = v
-        a = ancestor[x]
-        while a >= 0 and ancestor[a] >= 0:
-            path.append(x)
-            x = a
-            a = ancestor[x]
+        a = anc[j]
+        while anc[a] >= 0:
+            path.append(j)
+            j = a
+            a = anc[j]
         while path:
             y = path.pop()
-            a = ancestor[y]
-            if semi[best[a]] < semi[best[y]]:
-                best[y] = best[a]
-            ancestor[y] = ancestor[a]
-        return best[v]
+            a = anc[y]
+            if label[a] < label[y]:
+                label[y] = label[a]
+            anc[y] = anc[a]
 
-    for i in range(len(vertex) - 1, 0, -1):
+    for i in range(count - 1, 0, -1):
         w = vertex[i]
-        p = parent[w]
-        s = semi[w]
+        s = i
         for v in padj[pptr[w]:pptr[w + 1]]:
-            dv = dfnum[v]
-            if dv < 0:
+            j = dfnum[v]
+            if j < 0:
                 continue
-            if dv > i:
-                dv = semi[evaluate(v)]
-            if dv < s:
-                s = dv
-        semi[w] = s
-        sv = vertex[s]
-        bnext[w] = bhead[sv]
-        bhead[sv] = w
-        ancestor[w] = p
-        v = bhead[p]
-        while v >= 0:
-            u = evaluate(v)
-            if semi[u] < semi[v]:
-                samedom[v] = u
-            else:
-                idom[v] = p
-            v = bnext[v]
-        bhead[p] = -1
+            if j > i:
+                if anc[anc[j]] >= 0:
+                    compress(j)
+                j = label[j]
+            if j < s:
+                s = j
+        semi[i] = s
+        label[i] = s
+        anc[i] = parent[i]
 
-    for w in vertex[1:]:
-        if samedom[w] >= 0:
-            idom[w] = idom[samedom[w]]
+    # idom by number, ancestors first; the root's -1 stops every walk
+    idom_num = [-1] * count
+    for i in range(1, count):
+        d = parent[i]
+        s = semi[i]
+        while d > s:
+            d = idom_num[d]
+        idom_num[i] = d
+
+    idom = [-1] * n
     idom[root] = root
+    for i in range(1, count):
+        idom[vertex[i]] = vertex[idom_num[i]]
     return np.array(idom, dtype=_I)
-
-
-def bfs_depth(n, src, limit, indptr, indices):
-    """BFS from src up to the given edge-distance; returns (dist, edges_scanned)."""
-    ptr = indptr.tolist()
-    adj = indices.tolist()
-    dist = [-1] * n
-    dist[src] = 0
-    q = [src]
-    scanned = 0
-    for v in q:
-        dv = dist[v]
-        if dv >= limit:
-            continue
-        succ = adj[ptr[v]:ptr[v + 1]]
-        scanned += len(succ)
-        for w in succ:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                q.append(w)
-    return np.array(dist, dtype=_I), scanned
 
 
 def reach(n, src, indptr, indices):

@@ -196,6 +196,11 @@ def two_escc_sparse(g, epsilon=0.5, validate=False, counters=None, trace=None):
     wk = WorkGraph(gt)
     state = LocalSearchState(working=wk, j_set={}, q=q, d=d, epsilon=epsilon)
 
+    # An SCC found bridgeless is, once the cross-SCC edges are gone, an
+    # isolated 2-edge strongly connected island: no later deletion or local
+    # search reaches it, so every later iteration finds it unchanged and
+    # need not search it for bridges again.
+    finished = set()
     outer = 0
     while True:
         outer += 1
@@ -209,13 +214,20 @@ def two_escc_sparse(g, epsilon=0.5, validate=False, counters=None, trace=None):
             cu = comp_of[u]
             if cu == comp_of[v]:
                 grouped[cu].append((int(u), int(v)))
+        last_j = state.j_set
         state.j_set = {}
         j_set = state.j_set
         for ci, comp in enumerate(comps):
             if len(comp) < 2:
                 continue
+            key = frozenset(comp)
+            if key in finished:
+                if validate and any(v in last_j for v in comp):
+                    raise InvariantViolation("a finished SCC touches the J-set")
+                continue
             bridges = _sub_bridges(n2, comp, grouped[ci])
             if not bridges:
+                finished.add(key)
                 continue
             wk.delete_edges(bridges)
             for (u, v) in bridges:

@@ -168,9 +168,10 @@ def edge_dominators_raw(n, root, us, vs):
 
     Italiano, Laura and Santaroni (2012): e=(u,v) dominates its head v iff
     u = idom(v), e is the only u->v edge, and v dominates every other
-    predecessor of v that root reaches.  Dominance is read off pre/post
-    numbers of the dominator tree.  Indices are returned sorted by head;
-    each vertex has at most one edge-dominator ending at it.
+    predecessor of v that root reaches.  Dominance is read off subtree
+    intervals of the dominator tree: v dominates u iff u's preorder number
+    lies in [pre[v], pre[v] + size[v]).  Indices are returned sorted by
+    head; each vertex has at most one edge-dominator ending at it.
     """
     if len(us) == 0:
         return []
@@ -181,19 +182,19 @@ def edge_dominators_raw(n, root, us, vs):
     for v, p in enumerate(idom):
         if p >= 0 and v != root:
             children[p].append(v)
+    # BFS order of the tree, subtree sizes bottom-up, preorder starts top-down
+    order = [root]
+    for v in order:
+        order.extend(children[v])
+    size = [1] * n
+    for v in order[:0:-1]:
+        size[idom[v]] += size[v]
     pre = [0] * n
-    post = [0] * n
-    clock = 0
-    stack = [(root, False)]
-    while stack:
-        v, done = stack.pop()
-        clock += 1
-        if done:
-            post[v] = clock
-            continue
-        pre[v] = clock
-        stack.append((v, True))
-        stack.extend((c, False) for c in children[v])
+    for v in order:
+        nxt = pre[v] + 1
+        for c in children[v]:
+            pre[c] = nxt
+            nxt += size[c]
     # per head v: the index of an idom(v)->v edge (-1: none, -2: several)
     # and whether some other reachable predecessor escapes v's subtree
     cand = [-1] * n
@@ -203,7 +204,7 @@ def edge_dominators_raw(n, root, us, vs):
             continue
         if u == idom[v]:
             cand[v] = i if cand[v] == -1 else -2
-        elif pre[u] < pre[v] or post[u] > post[v]:
+        elif not pre[v] <= pre[u] < pre[v] + size[v]:
             ok[v] = False
     return [c for c, good in zip(cand, ok) if c >= 0 and good]
 

@@ -57,6 +57,17 @@ def reach_set(n, edges, src, drop_v=(), drop_e=()):
     return seen
 
 
+def within_depth(edges, j, d, reverse=False):
+    """Vertices with a path of at most d edges to j (reverse: from j)."""
+    ball = {j}
+    for _ in range(d):
+        if reverse:
+            ball |= {v for (u, v) in edges if u in ball}
+        else:
+            ball |= {u for (u, v) in edges if v in ball}
+    return ball
+
+
 def brute_sccs(n, edges, drop_v=(), drop_e=()):
     drop_v = set(drop_v)
     verts = [v for v in range(n) if v not in drop_v]

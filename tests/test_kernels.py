@@ -47,6 +47,46 @@ def test_idoms_match_brute_force():
         assert {p for p in idom if p > 0} == set(brute_dominators(g.n, g.edge_list, 0))
 
 
+@st.composite
+def _flow_multigraphs(draw):
+    """(n, root, edges): parallel edges, self-loops, vertices the root may
+    not reach, and optionally a long chain with back edges, so that path
+    compression runs several levels deep."""
+    n = draw(st.integers(1, 12))
+    vert = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vert, vert), max_size=3 * n))
+    if draw(st.booleans()):
+        chain = draw(st.permutations(range(n)))
+        edges += list(zip(chain, chain[1:]))
+        back = draw(st.lists(st.tuples(vert, vert), max_size=n))
+        edges += [(chain[max(a, b)], chain[min(a, b)]) for a, b in back if a != b]
+        edges = draw(st.permutations(edges))
+    root = draw(vert)
+    return n, root, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(_flow_multigraphs())
+def test_idoms_match_removal_oracle(case):
+    n, root, edges = case
+    idom = idoms_raw(n, root, [u for u, _ in edges], [v for _, v in edges]).tolist()
+    base = reach_set(n, edges, root)
+    # strict dominators of w: the root plus every vertex whose removal cuts w off
+    strict = {root: set()}
+    for w in base - {root}:
+        strict[w] = {root} | {v for v in base - {root, w}
+                              if w not in reach_set(n, edges, root, drop_v=[v])}
+    for w in range(n):
+        if w == root:
+            assert idom[w] == root
+        elif w not in base:
+            assert idom[w] == -1
+        else:
+            # the idom is the strict dominator that all the others dominate
+            best = [d for d in strict[w] if strict[w] - {d} <= strict[d]]
+            assert best == [idom[w]]
+
+
 def _brute_cut_size(n, edges, s, t, k, mode):
     """Fewest edges (vertices other than s and t) cutting t off from s, capped at k."""
     if mode == "edge":
@@ -119,17 +159,6 @@ def test_reused_flow_nets_match_fresh_nets(case):
         if value < k:
             assert len(cut) == value and s not in cut and t not in cut
             assert t not in reach_set(n, edges, s, drop_v=cut)
-
-
-def test_bfs_depth_kernel():
-    g = gen_random(10, 0.3, 7)
-    us, vs = g.edge_arrays()
-    indptr, indices = kernels.build_csr(g.n, us, vs)
-    dist, scanned = kernels.bfs_depth(g.n, 0, 2, indptr, indices)
-    assert dist[0] == 0
-    assert scanned <= g.m
-    full = reach_set(g.n, g.edge_list, 0)
-    assert {v for v in range(g.n) if dist[v] >= 0} <= full
 
 
 def test_reach_kernel_matches_oracle():

@@ -2,15 +2,20 @@ import pytest
 
 from kconn import (
     GraphError,
+    InvariantViolation,
     bounded_reverse_bfs,
+    brute_force_kscc,
     build_graph,
     constant_degree_transform,
     kscc,
     two_escc_sparse,
     two_isolated_set_local,
 )
+from kconn import local2e
 from kconn.graphio import gen_blocks_vs_components, gen_random
 from kconn.hierarchy import Counters
+
+from conftest import within_depth
 
 
 class TestBoundedReverseBfs:
@@ -27,6 +32,15 @@ class TestBoundedReverseBfs:
     def test_reverse_direction(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         assert bounded_reverse_bfs(g, 0, 1, "reverse") == {0, 1}
+
+    def test_matches_depth_oracle(self):
+        for seed in range(8):
+            g = gen_random(10, 0.3, seed)
+            for j in (0, 5):
+                for d in (0, 1, 2, 4):
+                    for direction in ("forward", "reverse"):
+                        assert bounded_reverse_bfs(g, j, d, direction) == within_depth(
+                            g.edge_list, j, d, reverse=direction == "reverse")
 
     def test_degree_bound_visit_count(self):
         # ball must stay local: in a long cycle only d+1 vertices are seen
@@ -172,6 +186,88 @@ class TestTwoEsccSparse:
         g = gen_random(30, 0.08, 5)
         two_escc_sparse(g, counters=counters, trace=trace)
         assert any(ev["event"] == "outer" for ev in trace)
+
+    def test_finished_sccs_are_not_searched_again(self, monkeypatch):
+        # an SCC the outer loop found bridgeless is an isolated island that
+        # nothing later touches, so no later bridge search may see it again
+        real_sub_bridges = local2e._sub_bridges
+        real_local_search = local2e._local_search
+        calls = []  # (vertex set, bridgeless, from the outer loop, iteration)
+        in_local = []
+        trace = []
+
+        def sub_bridges(n, verts, edges):
+            res = real_sub_bridges(n, verts, edges)
+            iteration = 1 + sum(ev["event"] == "outer" for ev in trace)
+            calls.append((frozenset(verts), not res, not in_local, iteration))
+            return res
+
+        def local_search(*args):
+            in_local.append(True)
+            try:
+                return real_local_search(*args)
+            finally:
+                in_local.pop()
+
+        monkeypatch.setattr(local2e, "_sub_bridges", sub_bridges)
+        monkeypatch.setattr(local2e, "_local_search", local_search)
+        waiting = 0
+        for n, p, seeds in ((10, 0.3, range(6)), (12, 0.25, range(3)),
+                            (30, 0.08, range(6)), (60, 0.045, range(4))):
+            for seed in seeds:
+                g = gen_random(n, p, seed)
+                calls.clear()
+                trace.clear()
+                cs = two_escc_sparse(g, validate=True, trace=trace)
+                outer = sum(ev["event"] == "outer" for ev in trace)
+                if outer < 2:
+                    continue
+                finished = set()
+                for verts, bridgeless, from_outer, iteration in calls:
+                    assert verts not in finished
+                    if bridgeless and from_outer:
+                        finished.add(verts)
+                        waiting += iteration < outer
+                assert cs == kscc(g, 2, "edge")
+                if n <= 12:
+                    assert cs == brute_force_kscc(g, 2, "edge")
+        # sets found finished before the last iteration: each a skipped search
+        assert waiting > 0
+
+    def test_validation_catches_a_touched_finished_scc(self, monkeypatch):
+        # a bidirected 6-cycle beside the graph of the test below; the
+        # cycle is found bridgeless first, then an injected fault deletes
+        # one of its arcs with the first local search's boundary
+        n = 40
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        edges += [((i + 1) % n, i) for i in range(n)]
+        edges += [(n, n + 1), (n + 1, n + 2), (n + 2, n), (0, n), (n + 2, 0)]
+        a = list(range(n + 3, n + 9))
+        edges += [(a[i], a[(i + 1) % 6]) for i in range(6)]
+        edges += [(a[(i + 1) % 6], a[i]) for i in range(6)]
+        g = build_graph(n + 9, edges)
+        real_sub_bridges = local2e._sub_bridges
+        real_boundary_edges = local2e._boundary_edges
+        finished = []
+
+        def sub_bridges(n, verts, edges):
+            res = real_sub_bridges(n, verts, edges)
+            if not res and len(verts) == 6:
+                finished.append(set(verts))
+            return res
+
+        def boundary_edges(wk, s):
+            out = real_boundary_edges(wk, s)
+            if finished:
+                u = min(finished[0])
+                out.append((u, next(w for w in wk.out_neighbors(u) if w in finished[0])))
+                finished.clear()
+            return out
+
+        monkeypatch.setattr(local2e, "_sub_bridges", sub_bridges)
+        monkeypatch.setattr(local2e, "_boundary_edges", boundary_edges)
+        with pytest.raises(InvariantViolation, match="finished SCC"):
+            two_escc_sparse(g, validate=True)
 
     def test_local_searches_fire_on_sparse_graphs(self):
         # a directed 3-cycle hanging off a large bridgeless cycle: the first
