@@ -4,16 +4,12 @@ graphs, via hierarchical sparsification and depth-bounded local search."""
 from .errors import BenchMismatch, GraphError, InvariantViolation, ParseError
 from .graph import (
     Graph,
-    LevelSubgraph,
-    RootedFlowGraph,
     VertexMapping,
     WorkGraph,
     build_graph,
     constant_degree_transform,
     degree_gamma,
     induced_subgraph,
-    level_subgraph,
-    make_flow_graphs,
     project_components,
     reverse,
 )
@@ -33,9 +29,6 @@ from .primitives import (
     Separator,
     SccPartition,
     bounded_min_separator,
-    dominator_vertices,
-    edge_dominator,
-    k_dominator,
     k_separator,
     scc,
     strong_articulation_points,
@@ -54,9 +47,7 @@ __all__ = [
     "GraphError",
     "InvariantViolation",
     "IsolationResult",
-    "LevelSubgraph",
     "ParseError",
-    "RootedFlowGraph",
     "SccPartition",
     "Separator",
     "VertexMapping",
@@ -68,16 +59,11 @@ __all__ = [
     "check_isolation",
     "constant_degree_transform",
     "degree_gamma",
-    "dominator_vertices",
-    "edge_dominator",
     "induced_subgraph",
-    "k_dominator",
     "k_isolated_set",
     "k_isolated_set_level",
     "k_separator",
     "kscc",
-    "level_subgraph",
-    "make_flow_graphs",
     "naive_kscc",
     "pairwise_k_connected",
     "project_components",

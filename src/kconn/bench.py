@@ -14,7 +14,22 @@ from .oracle import naive_kscc
 __all__ = ["RunReport", "run_algorithm", "bench_run"]
 
 ALGORITHMS = ("kscc", "naive", "sparse2e")
-CONFIG_KEYS = ("algorithms", "generator", "sizes", "seeds", "k", "mode", "validate")
+
+
+def _naturals(v):
+    return isinstance(v, list) and all(type(x) is int and x >= 0 for x in v)
+
+
+# key -> (test of a given value, what the value must be)
+CONFIG_KEYS = {
+    "algorithms": (lambda v: isinstance(v, list), "a list of algorithm names"),
+    "generator": (lambda v: isinstance(v, dict), "an object"),
+    "sizes": (_naturals, "a list of integers >= 0"),
+    "seeds": (_naturals, "a list of integers >= 0"),
+    "k": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),
+    "mode": (lambda v: v in ("edge", "vertex"), '"edge" or "vertex"'),
+    "validate": (lambda v: isinstance(v, bool), "true or false"),
+}
 
 
 @dataclass
@@ -95,14 +110,18 @@ def bench_run(config):
     """Run the configured algorithm/instance matrix; returns RunReports.
 
     Digests of all algorithms on one instance must agree; a mismatch raises
-    BenchMismatch naming the instance and seed.  Unknown config keys raise
-    GraphError.
+    BenchMismatch naming the instance and seed.  Unknown config keys and
+    values of the wrong type or range raise GraphError.
     """
     unknown = sorted(set(config) - set(CONFIG_KEYS))
     if unknown:
         raise GraphError(
             f"unknown bench config keys {unknown}; expected some of {list(CONFIG_KEYS)}"
         )
+    for key, value in config.items():
+        valid, want = CONFIG_KEYS[key]
+        if not valid(value):
+            raise GraphError(f"bench config key {key!r} must be {want}, not {value!r}")
     algorithms = list(config.get("algorithms", []))
     if not algorithms:
         return []

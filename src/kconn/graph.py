@@ -1,5 +1,6 @@
-"""Directed-graph representation, level subgraphs, flow-graph constructions
-and the constant-degree transform."""
+"""Directed-graph representation, the working graph of the decomposition
+drivers (level-edge scans, splits, edge deletion) and the constant-degree
+transform."""
 
 from dataclasses import dataclass
 
@@ -11,15 +12,11 @@ from .kernels import build_csr  # noqa: F401  (perfbench/tests patch this bindin
 __all__ = [
     "Graph",
     "WorkGraph",
-    "LevelSubgraph",
-    "RootedFlowGraph",
     "VertexMapping",
     "build_graph",
     "reverse",
     "induced_subgraph",
-    "level_subgraph",
     "degree_gamma",
-    "make_flow_graphs",
     "constant_degree_transform",
     "project_components",
 ]
@@ -29,22 +26,21 @@ class Graph:
     """Simple directed graph with ordered adjacency in both directions.
 
     Vertex ids are 0..n-1.  Edge insertion order fixes the per-vertex in/out
-    orderings for good; everything downstream (level subgraphs in particular)
-    relies on these orderings being stable.  Parallel edges are rejected
-    unless ``allow_parallel`` is set, which only flow-graph contraction uses.
+    orderings for good; everything downstream (level edges in particular)
+    relies on these orderings being stable.  Parallel edges and self-loops
+    are rejected.
     """
 
-    __slots__ = ("n", "m", "out_adj", "in_adj", "edge_list", "allow_parallel", "_edge_set")
+    __slots__ = ("n", "m", "out_adj", "in_adj", "edge_list", "_edge_set")
 
-    def __init__(self, n, edges, allow_parallel=False):
+    def __init__(self, n, edges):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         self.n = n
-        self.allow_parallel = allow_parallel
         self.out_adj = [[] for _ in range(n)]
         self.in_adj = [[] for _ in range(n)]
         self.edge_list = []
-        self._edge_set = set() if not allow_parallel else None
+        self._edge_set = set()
         for u, v in edges:
             self.add_edge(u, v)
         self.m = len(self.edge_list)
@@ -54,25 +50,16 @@ class Graph:
             raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")
         if u == v:
             raise GraphError(f"self-loop ({u}, {v}) not allowed")
-        if self._edge_set is not None:
-            if (u, v) in self._edge_set:
-                raise GraphError(f"duplicate edge ({u}, {v})")
-            self._edge_set.add((u, v))
+        if (u, v) in self._edge_set:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        self._edge_set.add((u, v))
         self.out_adj[u].append(v)
         self.in_adj[v].append(u)
         self.edge_list.append((u, v))
         self.m = len(self.edge_list)
 
     def has_edge(self, u, v):
-        if self._edge_set is not None:
-            return (u, v) in self._edge_set
-        return v in self.out_adj[u]
-
-    def in_degree(self, v):
-        return len(self.in_adj[v])
-
-    def out_degree(self, v):
-        return len(self.out_adj[v])
+        return (u, v) in self._edge_set
 
     def edge_arrays(self):
         if self.m == 0:
@@ -99,7 +86,7 @@ def build_graph(n, edges):
 
 def reverse(g):
     """Graph with every edge flipped; orderings are the swapped orderings of g."""
-    return Graph(g.n, [(v, u) for (u, v) in g.edge_list], allow_parallel=g.allow_parallel)
+    return Graph(g.n, [(v, u) for (u, v) in g.edge_list])
 
 
 def induced_subgraph(g, s):
@@ -118,51 +105,6 @@ def induced_subgraph(g, s):
     return Graph(len(old_ids), edges), old_ids
 
 
-@dataclass
-class LevelSubgraph:
-    """The sparsified graph G_i: first 2^i in-edges of every vertex.
-
-    ``edges`` are in the orientation of the chosen direction (reverse builds
-    swap every pair).  ``blue`` holds the vertices whose in-degree in the base
-    direction exceeds 2^i, i.e. the vertices missing in-edges here.
-    """
-
-    base: Graph
-    level: int
-    direction: str
-    edges: list
-    blue: tuple
-    white: tuple
-
-
-def level_subgraph(g, i, direction="forward"):
-    """First-2^i-in-edges subgraph of g (or of its reverse)."""
-    if i < 1:
-        raise GraphError("level must be >= 1")
-    if direction not in ("forward", "reverse"):
-        raise GraphError(f"bad direction {direction!r}")
-    cap = 1 << i
-    edges = []
-    blue = []
-    if direction == "forward":
-        for v in range(g.n):
-            lst = g.in_adj[v]
-            for u in lst[:cap]:
-                edges.append((u, v))
-            if len(lst) > cap:
-                blue.append(v)
-    else:
-        for v in range(g.n):
-            lst = g.out_adj[v]
-            for u in lst[:cap]:
-                edges.append((u, v))
-            if len(lst) > cap:
-                blue.append(v)
-    blue_set = set(blue)
-    white = tuple(v for v in range(g.n) if v not in blue_set)
-    return LevelSubgraph(g, i, direction, edges, tuple(blue), white)
-
-
 def degree_gamma(g):
     """min(max in-degree, max out-degree); caps the level loop."""
     if g.n == 0 or g.m == 0:
@@ -171,81 +113,6 @@ def degree_gamma(g):
         max(len(a) for a in g.in_adj),
         max(len(a) for a in g.out_adj),
     )
-
-
-@dataclass
-class RootedFlowGraph:
-    """A graph with a designated root for dominator searches.
-
-    ``vertex_ids`` maps flow-graph vertices back to the ids the graph was
-    built from (-1 for an added artificial/contracted root); ``edge_origin``
-    maps each flow edge to the underlying original edge where that is
-    meaningful (contracted graphs keep one entry per parallel edge).
-    """
-
-    graph: Graph
-    root: int
-    kind: str
-    origin_blue: tuple = ()
-    vertex_ids: tuple = ()
-    edge_origin: tuple = None
-
-    def to_original(self, v):
-        if self.vertex_ids:
-            return self.vertex_ids[v]
-        return v
-
-    @classmethod
-    def plain(cls, g, root):
-        return cls(g, root, "plain-root", (), tuple(range(g.n)), None)
-
-
-def make_flow_graphs(ls, k, mode):
-    """Flow graphs used by the level search, built from a level subgraph.
-
-    edge mode: one graph with the blue set contracted to the root (parallel
-    edges between blue and white kept, blue-internal edges dropped).
-    vertex mode with |blue| >= k: one graph with a fresh root wired to every
-    blue vertex.  vertex mode with 0 < |blue| < k: one graph per blue vertex
-    w, rooted at w, with edges from w to the other blue vertices.
-    """
-    if mode not in ("edge", "vertex"):
-        raise GraphError(f"bad mode {mode!r}")
-    blue = list(ls.blue)
-    if not blue:
-        raise GraphError("flow graphs require a non-empty blue set")
-    blue_set = set(blue)
-    n = ls.base.n
-    if mode == "edge":
-        whites = [v for v in range(n) if v not in blue_set]
-        to_new = {v: i for i, v in enumerate(whites)}
-        root = len(whites)
-        edges = []
-        origin = []
-        for (u, v) in ls.edges:
-            bu, bv = u in blue_set, v in blue_set
-            if bu and bv:
-                continue
-            nu = root if bu else to_new[u]
-            nv = root if bv else to_new[v]
-            edges.append((nu, nv))
-            origin.append((u, v))
-        g = Graph(root + 1, edges, allow_parallel=True)
-        ids = tuple(whites) + (-1,)
-        return [RootedFlowGraph(g, root, "contracted-root", tuple(blue), ids, tuple(origin))]
-    if len(blue) >= k:
-        root = n
-        edges = list(ls.edges) + [(root, b) for b in blue]
-        g = Graph(n + 1, edges, allow_parallel=True)
-        ids = tuple(range(n)) + (-1,)
-        return [RootedFlowGraph(g, root, "artificial-root", tuple(blue), ids, None)]
-    out = []
-    for w in blue:
-        edges = list(ls.edges) + [(w, b) for b in blue if b != w]
-        g = Graph(n, edges, allow_parallel=True)
-        kind = "blue-member-root"
-        out.append(RootedFlowGraph(g, w, kind, tuple(blue), tuple(range(n)), None))
-    return out
 
 
 @dataclass
@@ -339,7 +206,7 @@ class WorkGraph:
     it scans.
     """
 
-    __slots__ = ("n", "alive", "verts", "in_l", "out_l", "dead", "parallel")
+    __slots__ = ("n", "alive", "verts", "in_l", "out_l", "dead")
 
     def __init__(self, g=None):
         if g is None:
@@ -350,7 +217,6 @@ class WorkGraph:
         self.in_l = [list(a) for a in g.in_adj]
         self.out_l = [list(a) for a in g.out_adj]
         self.dead = set()
-        self.parallel = g.allow_parallel
 
     @property
     def n_alive(self):
@@ -374,7 +240,6 @@ class WorkGraph:
         w.in_l = list(self.in_l)
         w.out_l = list(self.out_l)
         w.dead = self.dead
-        w.parallel = self.parallel
         for z in rebuild:
             if alive[z]:
                 w.in_l[z] = w.live_in(z)

@@ -108,6 +108,8 @@ def _parse_dimacs(lines):
                 n, m_expected = int(parts[-2]), int(parts[-1])
             except ValueError:
                 raise ParseError("malformed problem line", lineno)
+            if n < 0 or m_expected < 0:
+                raise ParseError("negative problem line values", lineno)
             g = Graph(n, [])
             continue
         if parts[0] == "a":
@@ -175,6 +177,8 @@ def emit_components(cs, fmt="text", suppress_degenerate=False):
 
 def gen_random(n, p, seed):
     """G(n, p) digraph: each ordered pair independently with probability p."""
+    if n < 0:
+        raise GraphError("n must be non-negative")
     if not 0 <= p <= 1:
         raise GraphError("p must be in [0, 1]")
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
-"""Recursive k-connectivity decomposition: level search over hierarchically
-sparsified subgraphs, whole-graph search, and the splitting driver."""
+"""Recursive k-connectivity decomposition: the isolated-set search (run on
+the level edges of hierarchically sparsified subgraphs here, and on BFS balls
+by the local search), whole-graph search, and the splitting driver."""
 
 import hashlib
 import json
@@ -132,42 +133,38 @@ class ComponentSet:
 # --- searches ----------------------------------------------------------------
 
 
-def _top_after_removal(n, verts, edges, z_vertices, exclude):
-    zset = set(z_vertices)
-    verts2 = [v for v in verts if v not in zset]
-    us2, vs2 = [], []
-    for (u, v) in edges:
-        if u in zset or v in zset:
-            continue
-        us2.append(u)
-        vs2.append(v)
-    return top_scc_of(n, verts2, us2, vs2, exclude=exclude)
+def _top_after_removal(n, verts, edges, z, mode, exclude):
+    """Top SCC disjoint from ``exclude`` once the separator ``z`` is removed:
+    vertices in vertex mode, edges in edge mode."""
+    zset = set(z)
+    us, vs = [], []
+    if mode == "vertex":
+        verts = [v for v in verts if v not in zset]
+        for (u, v) in edges:
+            if u not in zset and v not in zset:
+                us.append(u)
+                vs.append(v)
+    else:
+        for (u, v) in edges:
+            if (u, v) not in zset:
+                us.append(u)
+                vs.append(v)
+    return top_scc_of(n, verts, us, vs, exclude=exclude)
 
 
-def _search_side(wk, i, k, mode, us, vs, blue, side, counters):
-    """One direction of the level search; returns an IsolationResult or None.
+def _flow_graphs(n, edges, blue, k, mode):
+    """Flow graphs rooted at the blue set, as (nodes, root, edges, origin).
 
-    Tries, in order: a blue-free top SCC of the level subgraph; a k-dominator
-    in the derived flow graph(s); and for vertex mode with a small blue set,
-    the explicit Z >= blue special cases.
+    Edge mode: one graph with the blue set contracted to a new root n; edges
+    between two blue vertices are dropped, parallel edges kept, and
+    ``origin[j]`` is the index in ``edges`` of flow edge j.  Vertex mode with
+    |blue| >= k: one graph with a new root n wired to every blue vertex.
+    Vertex mode with |blue| < k: one graph per blue vertex w, rooted at w,
+    with edges from w to the other blue vertices.  Vertex-mode graphs keep
+    the vertex ids, so their origin is None.
     """
-    n = wk.n
-    verts = wk.verts
-    counters.level(len(us))
-    flip = side == "reverse"
-
-    S = top_scc_of(n, verts, us, vs, exclude=blue)
-    if S is not None:
-        return IsolationResult(S, [], side, "tscc")
-
-    blue_set = set(blue)
-    edges = list(zip(us, vs))
-
-    def oriented(zedges):
-        return sorted((b, a) for (a, b) in zedges) if flip else sorted(zedges)
-
     if mode == "edge":
-        root = n
+        blue_set = set(blue)
         fedges = []
         origin = []
         for idx, (u, v) in enumerate(edges):
@@ -175,48 +172,53 @@ def _search_side(wk, i, k, mode, us, vs, blue, side, counters):
             bv = v in blue_set
             if bu and bv:
                 continue
-            fedges.append((root if bu else u, root if bv else v))
+            fedges.append((n if bu else u, n if bv else v))
             origin.append(idx)
-        counters.level(2 * len(fedges))
-        zidx = k_dominator_raw(n + 1, root, fedges, k, "edge", counters)
-        if zidx is None:
-            return None
-        z_edge_idx = sorted(origin[j] for j in zidx)
-        zset = set(z_edge_idx)
-        us2 = [u for j, (u, v) in enumerate(edges) if j not in zset]
-        vs2 = [v for j, (u, v) in enumerate(edges) if j not in zset]
-        counters.level(len(us2))
-        S = top_scc_of(n, verts, us2, vs2, exclude=blue)
-        if S is None:
-            raise InvariantViolation("edge dominator found but no blue-free top SCC")
-        return IsolationResult(S, oriented(edges[j] for j in z_edge_idx), side, "dominator")
-
+        return [(n + 1, n, fedges, origin)]
     if len(blue) >= k:
-        root = n
-        fedges = edges + [(root, b) for b in blue]
+        return [(n + 1, n, edges + [(n, b) for b in blue], None)]
+    return [(n, w, edges + [(w, b) for b in blue if b != w], None) for w in blue]
+
+
+def _search_side(n, verts, us, vs, blue, k, mode, side, counters):
+    """Isolated-set search in one direction; returns an IsolationResult or None.
+
+    ``verts`` with the edges us->vs is a level subgraph or a ball, and
+    ``blue`` holds its vertices that miss in-edges from outside it.  Tries,
+    in order: a blue-free top SCC; a k-dominator of the flow graphs rooted
+    at the blue set, whose removal leaves a blue-free top SCC; and for
+    vertex mode with a small blue set, the explicit Z >= blue special cases.
+    Work is charged to ``counters.level``; None charges nothing.
+    """
+    counters = counters if counters is not None else Counters()
+    counters.level(len(us))
+    S = top_scc_of(n, verts, us, vs, exclude=blue)
+    if S is not None:
+        return IsolationResult(S, [], side, "tscc")
+
+    edges = list(zip(us, vs))
+    for nodes, root, fedges, origin in _flow_graphs(n, edges, blue, k, mode):
         counters.level(2 * len(fedges))
-        z = k_dominator_raw(n + 1, root, fedges, k, "vertex", counters)
+        z = k_dominator_raw(nodes, root, fedges, k, mode, counters)
         if z is None:
-            return None
-        counters.level(len(edges))
-        S = _top_after_removal(n, verts, edges, z, blue)
-        if S is None:
-            raise InvariantViolation("vertex dominator found but no blue-free top SCC")
-        return IsolationResult(S, sorted(z), side, "dominator")
-
-    # vertex mode, 0 < |blue| < k: one flow graph per blue vertex, then the
-    # explicit cases for separators containing the whole blue set.
-    for w in blue:
-        fedges = edges + [(w, b) for b in blue if b != w]
-        counters.level(2 * len(fedges))
-        z = k_dominator_raw(n, w, fedges, k, "vertex", counters)
-        if z is not None:
+            continue
+        if mode == "edge":
+            z = [edges[origin[j]] for j in z]
+            counters.level(len(edges) - len(z))
+        else:
             counters.level(len(edges))
-            S = _top_after_removal(n, verts, edges, z, blue)
-            if S is None:
-                raise InvariantViolation("vertex dominator found but no blue-free top SCC")
-            return IsolationResult(S, sorted(z), side, "dominator")
+        S = _top_after_removal(n, verts, edges, z, mode, blue)
+        if S is None:
+            raise InvariantViolation(f"{mode} dominator found but no blue-free top SCC")
+        if side == "reverse" and mode == "edge":
+            z = [(b, a) for (a, b) in z]
+        return IsolationResult(S, sorted(z), side, "dominator")
+    if mode == "edge" or len(blue) >= k:
+        return None
 
+    # vertex mode, 0 < |blue| < k, no dominator: the separators containing
+    # the whole blue set
+    blue_set = set(blue)
     verts2 = [v for v in verts if v not in blue_set]
     edges2 = [(u, v) for (u, v) in edges if u not in blue_set and v not in blue_set]
     if not verts2:
@@ -232,7 +234,7 @@ def _search_side(wk, i, k, mode, us, vs, blue, side, counters):
         if sep is not None:
             z = sorted(list(sep.members) + list(blue))
             counters.level(len(edges))
-            S = _top_after_removal(n, verts, edges, z, ())
+            S = _top_after_removal(n, verts, edges, z, "vertex", ())
             if S is None:
                 raise InvariantViolation("separator special case found but no top SCC")
             return IsolationResult(S, z, side, "blue-superset-special")
@@ -251,13 +253,7 @@ def _whole_search(wk, k, mode, counters):
     if sep is None:
         return None
     counters.whole(len(edges))
-    if mode == "vertex":
-        S = _top_after_removal(wk.n, wk.verts, edges, sep.members, ())
-    else:
-        zset = set(sep.members)
-        us2 = [u for (u, v) in edges if (u, v) not in zset]
-        vs2 = [v for (u, v) in edges if (u, v) not in zset]
-        S = top_scc_of(wk.n, wk.verts, us2, vs2)
+    S = _top_after_removal(wk.n, wk.verts, edges, sep.members, mode, ())
     if S is None:
         raise InvariantViolation("separator found but no top SCC after removal")
     return IsolationResult(S, sorted(sep.members), "forward", "whole-graph")
@@ -288,9 +284,9 @@ def _find_isolated(wk, k, mode, use_levels, counters, trace, validate):
                     {"event": "level", "i": i, "n": n_alive,
                      "blue_fwd": len(blueF), "blue_rev": len(blueR)}
                 )
-            res = _search_side(wk, i, k, mode, usF, vsF, blueF, "forward", counters)
+            res = _search_side(wk.n, wk.verts, usF, vsF, blueF, k, mode, "forward", counters)
             if res is None:
-                res = _search_side(wk, i, k, mode, usR, vsR, blueR, "reverse", counters)
+                res = _search_side(wk.n, wk.verts, usR, vsR, blueR, k, mode, "reverse", counters)
             if res is not None:
                 if validate and i > 1 and not len(res.s) > 2 ** (i - 1) - k + 2:
                     raise InvariantViolation(
@@ -434,9 +430,9 @@ def k_isolated_set_level(g, i, k, mode, counters=None):
     usR, vsR, blueR = wk.level_edges(i, True, counters)
     if not blueF or not blueR:
         raise GraphError(f"level {i} violates 2^i < gamma")
-    res = _search_side(wk, i, k, mode, usF, vsF, blueF, "forward", counters)
+    res = _search_side(wk.n, wk.verts, usF, vsF, blueF, k, mode, "forward", counters)
     if res is None:
-        res = _search_side(wk, i, k, mode, usR, vsR, blueR, "reverse", counters)
+        res = _search_side(wk.n, wk.verts, usR, vsR, blueR, k, mode, "reverse", counters)
     return res if res is not None else IsolationResult.empty()
 
 

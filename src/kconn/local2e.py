@@ -2,31 +2,18 @@
 local searches seeded from vertices that recently lost edges."""
 
 import math
-from dataclasses import dataclass
 
 from .errors import GraphError, InvariantViolation
 from .graph import WorkGraph, constant_degree_transform, project_components
-from .hierarchy import Component, ComponentSet, Counters
-from .primitives import edge_dominators_raw, k_dominator_raw, scc_raw, top_scc_of
+from .hierarchy import Component, ComponentSet, Counters, _search_side
+from .primitives import edge_dominators_raw, scc_raw, top_scc_of
+from .primitives import k_dominator_raw  # noqa: F401  (perfbench/tests patch this binding)
 
 __all__ = [
-    "LocalSearchState",
     "two_escc_sparse",
     "two_isolated_set_local",
     "bounded_reverse_bfs",
 ]
-
-
-@dataclass
-class LocalSearchState:
-    """Bookkeeping for one run: the working graph, the J-set of endpoints of
-    recently deleted edges, and the log-sized thresholds."""
-
-    working: WorkGraph
-    j_set: dict
-    q: int
-    d: int
-    epsilon: float
 
 
 def _ball(wk, j, d, rev, counters):
@@ -78,10 +65,14 @@ def _sub_bridges(n, verts, edges):
 def _local_search(wk, j_list, d, counters):
     """One pass of the ball searches; returns an isolated vertex set or None.
 
-    For each seed and direction it looks for, in order: a blue-free top SCC
-    of the ball with an outgoing edge; a bridge inside a ball that is both a
-    top and a bottom SCC; an edge-dominator of the ball with its blue
-    boundary contracted to a root.
+    For each seed and direction, the ball and its blue boundary (the ball
+    vertices with an in-edge from outside it) go to the isolated-set search
+    of the level search, with k=2 in edge mode: a blue-free top SCC of the
+    ball, else the top SCC left by an edge-dominator of the ball with its
+    blue boundary contracted to a root.  A top SCC counts only with an
+    outgoing edge; without one it is the whole ball and a top and bottom
+    SCC of the graph, where only an internal bridge can still isolate
+    something.
     """
     for j in j_list:
         if not wk.alive[j]:
@@ -89,65 +80,37 @@ def _local_search(wk, j_list, d, counters):
         for rev in (False, True):
             ball = _ball(wk, j, d, rev, counters)
             x_set = set(ball)
-            sub_edges = []
-            blue = []
-            for v in sorted(x_set):
+            verts = sorted(x_set)
+            us, vs, blue = [], [], []
+            for v in verts:
                 preds = wk.in_neighbors(v) if not rev else wk.out_neighbors(v)
                 external = False
                 for u in preds:
                     if u in x_set:
-                        sub_edges.append((u, v))
+                        us.append(u)
+                        vs.append(v)
                     else:
                         external = True
                 if external:
                     blue.append(v)
             if counters is not None:
-                counters.ball(len(sub_edges))
-            verts = sorted(x_set)
-            us = [e[0] for e in sub_edges]
-            vs = [e[1] for e in sub_edges]
-            t = top_scc_of(wk.n, verts, us, vs, exclude=blue)
-            if t is not None:
-                t_set = set(t)
-                has_out = False
-                for v in t:
-                    succs = wk.out_neighbors(v) if not rev else wk.in_neighbors(v)
-                    if any(w not in t_set for w in succs):
-                        has_out = True
-                        break
-                if has_out:
-                    return t
-                # t is the whole ball and a top+bottom SCC of the graph; only
-                # an internal bridge can still isolate something here
-                bridges = _sub_bridges(wk.n, verts, sub_edges)
-                if bridges:
-                    e = bridges[0]
-                    us2 = [a for (a, b) in sub_edges if (a, b) != e]
-                    vs2 = [b for (a, b) in sub_edges if (a, b) != e]
-                    return top_scc_of(wk.n, verts, us2, vs2)
+                counters.ball(len(us))
+            res = _search_side(wk.n, verts, us, vs, blue, 2, "edge", "forward", None)
+            if res is None:
                 continue
-            # no blue-free top SCC: contract the blue boundary and look for
-            # an edge-dominator
-            root = wk.n
-            blue_set = set(blue)
-            fedges = []
-            origin = []
-            for idx, (u, v) in enumerate(sub_edges):
-                bu = u in blue_set
-                bv = v in blue_set
-                if bu and bv:
-                    continue
-                fedges.append((root if bu else u, root if bv else v))
-                origin.append(idx)
-            eidx = k_dominator_raw(wk.n + 1, root, fedges, 2, "edge", counters)
-            if eidx is not None:
-                e = sub_edges[origin[eidx[0]]]
-                us2 = [a for (a, b) in sub_edges if (a, b) != e]
-                vs2 = [b for (a, b) in sub_edges if (a, b) != e]
-                u2 = top_scc_of(wk.n, verts, us2, vs2, exclude=blue)
-                if u2 is None:
-                    raise InvariantViolation("ball edge-dominator without a top SCC")
-                return u2
+            t = res.s
+            if res.provenance == "dominator":
+                return t
+            t_set = set(t)
+            for v in t:
+                succs = wk.out_neighbors(v) if not rev else wk.in_neighbors(v)
+                if any(w not in t_set for w in succs):
+                    return t
+            sub_edges = list(zip(us, vs))
+            bridges = _sub_bridges(wk.n, verts, sub_edges)
+            if bridges:
+                rest = [e for e in sub_edges if e != bridges[0]]
+                return top_scc_of(wk.n, verts, [a for a, _ in rest], [b for _, b in rest])
     return None
 
 
@@ -194,7 +157,8 @@ def two_escc_sparse(g, epsilon=0.5, validate=False, counters=None, trace=None):
     q = math.ceil(math.log2(n2)) if n2 > 1 else 0
     d = math.ceil(epsilon * math.log2(n2)) if n2 > 1 else 0
     wk = WorkGraph(gt)
-    state = LocalSearchState(working=wk, j_set={}, q=q, d=d, epsilon=epsilon)
+    # the J-set: endpoints of the edges deleted in the current iteration
+    j_set = {}
 
     # An SCC found bridgeless is, once the cross-SCC edges are gone, an
     # isolated 2-edge strongly connected island: no later deletion or local
@@ -214,9 +178,7 @@ def two_escc_sparse(g, epsilon=0.5, validate=False, counters=None, trace=None):
             cu = comp_of[u]
             if cu == comp_of[v]:
                 grouped[cu].append((int(u), int(v)))
-        last_j = state.j_set
-        state.j_set = {}
-        j_set = state.j_set
+        last_j, j_set = j_set, {}
         for ci, comp in enumerate(comps):
             if len(comp) < 2:
                 continue

@@ -14,13 +14,10 @@ __all__ = [
     "Separator",
     "scc",
     "top_scc_excluding",
-    "dominator_vertices",
-    "edge_dominator",
     "strong_articulation_points",
     "strong_bridges",
     "bounded_min_separator",
     "k_separator",
-    "k_dominator",
     "pairwise_k_connected_impl",
 ]
 
@@ -207,22 +204,6 @@ def edge_dominators_raw(n, root, us, vs):
         elif not pre[v] <= pre[u] < pre[v] + size[v]:
             ok[v] = False
     return [c for c, good in zip(cand, ok) if c >= 0 and good]
-
-
-def dominator_vertices(fg):
-    """(dominator, witness) pairs for a rooted flow graph, in fg-local ids."""
-    us, vs = fg.graph.edge_arrays()
-    witness = dominator_set_raw(fg.graph.n, fg.root, us, vs)
-    return sorted((v, w) for v, w in witness.items())
-
-
-def edge_dominator(fg):
-    """Lexicographically smallest edge-dominator of fg, or None."""
-    us, vs = fg.graph.edge_arrays()
-    idxs = edge_dominators_raw(fg.graph.n, fg.root, us, vs)
-    if not idxs:
-        return None
-    return min(fg.graph.edge_list[i] for i in idxs)
 
 
 # --- strong bridges / articulation points ------------------------------------
@@ -620,27 +601,6 @@ def k_dominator_raw(n, root, edges, k, mode, counters=None):
         )
         return sorted(cut)
     return None
-
-
-def k_dominator(fg, k, mode, counters=None):
-    """Minimal k-dominator of a rooted flow graph, or None.
-
-    Vertex members are fg-local vertex ids; edge members are reported as the
-    originating edges when the flow graph carries an origin map (contracted
-    graphs), else as fg-local edge pairs.
-    """
-    if k < 2:
-        raise GraphError("k must be >= 2")
-    raw = k_dominator_raw(fg.graph.n, fg.root, fg.graph.edge_list, k, mode, counters)
-    if raw is None:
-        return None
-    if mode == "vertex":
-        return Separator("vertex", tuple(raw), "k-dominator")
-    if fg.edge_origin is not None:
-        members = sorted(fg.edge_origin[i] for i in raw)
-    else:
-        members = sorted(fg.graph.edge_list[i] for i in raw)
-    return Separator("edge", tuple(members), "k-dominator")
 
 
 # --- pairwise k-connectivity (Menger queries) -----------------------------------

@@ -7,13 +7,12 @@ from kconn import (
     constant_degree_transform,
     degree_gamma,
     induced_subgraph,
-    level_subgraph,
-    make_flow_graphs,
     project_components,
     reverse,
 )
+from kconn.graph import WorkGraph
 from kconn.graphio import gen_random
-from kconn.hierarchy import Component, ComponentSet
+from kconn.hierarchy import Component, ComponentSet, _flow_graphs
 from kconn.oracle import naive_kscc
 
 
@@ -92,45 +91,52 @@ class TestInducedSubgraph:
         assert (0, 1) in sub.edge_list  # 2 -> 3 re-indexed
 
 
+def level(g, i, rev=False):
+    """Level-i edges (as pairs) and blue set of a fresh working graph."""
+    us, vs, blue = WorkGraph(g).level_edges(i, rev)
+    return list(zip(us, vs)), blue
+
+
 class TestLevelSubgraph:
     def test_bitri_level1_keeps_everything(self, bitri):
-        ls = level_subgraph(bitri, 1)
-        assert len(ls.edges) == 6
-        assert ls.blue == ()
+        edges, blue = level(bitri, 1)
+        assert len(edges) == 6
+        assert blue == []
 
     def test_k4b_level1_all_blue(self, k4b):
-        ls = level_subgraph(k4b, 1)
-        assert ls.blue == (0, 1, 2, 3)
+        _, blue = level(k4b, 1)
+        assert blue == [0, 1, 2, 3]
 
     def test_bowtie_level1_blue_center(self, bowtie):
-        ls = level_subgraph(bowtie, 1)
-        assert ls.blue == (2,)
-        kept = [e for e in ls.edges if e[1] == 2]
+        edges, blue = level(bowtie, 1)
+        assert blue == [2]
+        kept = [e for e in edges if e[1] == 2]
         assert kept == [(0, 2), (1, 2)]  # first two in-edges by insertion order
 
     def test_white_in_lists_complete(self):
         for seed in range(20):
             g = gen_random(12, 0.35, seed)
-            for i in (1, 2, 3):
-                ls = level_subgraph(g, i)
-                blue = set(ls.blue)
-                assert len(ls.edges) <= g.n * 2**i
-                by_target = {}
-                for (u, v) in ls.edges:
-                    by_target.setdefault(v, []).append(u)
-                for v in range(g.n):
-                    assert len(by_target.get(v, [])) <= 2**i
-                    if v not in blue:
-                        assert by_target.get(v, []) == g.in_adj[v]
-                    else:
-                        assert by_target[v] == g.in_adj[v][: 2**i]
+            for rev in (False, True):
+                lists = g.out_adj if rev else g.in_adj
+                for i in (1, 2, 3):
+                    edges, blue = level(g, i, rev)
+                    assert len(edges) <= g.n * 2**i
+                    by_target = {}
+                    for (u, v) in edges:
+                        by_target.setdefault(v, []).append(u)
+                    for v in range(g.n):
+                        assert len(by_target.get(v, [])) <= 2**i
+                        if v not in blue:
+                            assert by_target.get(v, []) == lists[v]
+                        else:
+                            assert by_target[v] == lists[v][: 2**i]
 
     def test_saturation_level(self):
         g = gen_random(10, 0.5, 3)
         i = max(len(a) for a in g.in_adj).bit_length()
-        ls = level_subgraph(g, i)
-        assert ls.blue == ()
-        assert len(ls.edges) == g.m
+        edges, blue = level(g, i)
+        assert blue == []
+        assert len(edges) == g.m
 
     def test_gamma(self, bitri, bowtie):
         assert degree_gamma(bitri) == 2
@@ -139,53 +145,51 @@ class TestLevelSubgraph:
 
 
 class TestMakeFlowGraphs:
+    """The flow graphs of the isolated-set search, built on level edges."""
+
     def test_bowtie_single_blue_vertex_mode(self, bowtie):
-        ls = level_subgraph(bowtie, 1)
-        fgs = make_flow_graphs(ls, 2, "vertex")
+        edges, blue = level(bowtie, 1)
+        fgs = _flow_graphs(bowtie.n, edges, blue, 2, "vertex")
         assert len(fgs) == 1
-        fg = fgs[0]
-        assert fg.kind == "blue-member-root"
-        assert fg.root == 2
-        assert fg.graph.m == len(ls.edges)  # no added edges for |blue| == 1
+        nodes, root, fedges, origin = fgs[0]
+        assert (nodes, root, origin) == (bowtie.n, 2, None)
+        assert fedges == edges  # no added edges for |blue| == 1
 
     def test_contracted_edge_mode(self):
         # blue = {0, 1}: both have in-degree 3 > 2, the rest at most 2
         g = build_graph(5, [(2, 0), (3, 0), (4, 0), (2, 1), (3, 1), (4, 1),
                             (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
-        ls = level_subgraph(g, 1)
-        assert set(ls.blue) == {0, 1}
-        (fg,) = make_flow_graphs(ls, 2, "edge")
-        assert fg.kind == "contracted-root"
-        assert fg.root == fg.graph.n - 1
-        assert -1 not in [fg.to_original(v) for v in range(fg.graph.n - 1)]
+        edges, blue = level(g, 1)
+        assert set(blue) == {0, 1}
+        ((nodes, root, fedges, origin),) = _flow_graphs(g.n, edges, blue, 2, "edge")
+        assert (nodes, root) == (g.n + 1, g.n)
+        # whites keep their ids; origin maps every flow edge to its level edge
+        for (a, b), j in zip(fedges, origin):
+            u, v = edges[j]
+            assert (a, b) == (root if u in blue else u, root if v in blue else v)
         # parallel edges into the contracted root survive
-        into_root = [e for e in fg.graph.edge_list if e[1] == fg.root]
-        assert len(into_root) == sum(1 for (u, v) in ls.edges
+        into_root = [e for e in fedges if e[1] == root]
+        assert len(into_root) == sum(1 for (u, v) in edges
                                      if v in (0, 1) and u not in (0, 1))
 
     def test_artificial_root_vertex_mode(self):
         g = build_graph(6, [(3, 0), (4, 0), (5, 0), (3, 1), (4, 1), (5, 1),
                             (3, 2), (4, 2), (5, 2), (0, 3), (1, 4), (2, 5)])
-        ls = level_subgraph(g, 1)
-        assert set(ls.blue) == {0, 1, 2}
-        (fg,) = make_flow_graphs(ls, 2, "vertex")
-        assert fg.kind == "artificial-root"
-        root_edges = [e for e in fg.graph.edge_list if e[0] == fg.root]
+        edges, blue = level(g, 1)
+        assert set(blue) == {0, 1, 2}
+        ((nodes, root, fedges, origin),) = _flow_graphs(g.n, edges, blue, 2, "vertex")
+        assert (nodes, root, origin) == (g.n + 1, g.n, None)
+        root_edges = [e for e in fedges if e[0] == root]
         assert sorted(v for _, v in root_edges) == [0, 1, 2]
 
     def test_per_blue_roots_below_k(self):
         g = build_graph(5, [(2, 0), (3, 0), (4, 0), (2, 1), (3, 1), (4, 1),
                             (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
-        ls = level_subgraph(g, 1)
-        fgs = make_flow_graphs(ls, 3, "vertex")
-        assert [fg.root for fg in fgs] == [0, 1]
-        assert all(fg.kind == "blue-member-root" for fg in fgs)
-        assert (0, 1) in fgs[0].graph.edge_list  # root wired to the other blue
-
-    def test_empty_blue_rejected(self, bitri):
-        ls = level_subgraph(bitri, 1)
-        with pytest.raises(GraphError):
-            make_flow_graphs(ls, 2, "vertex")
+        edges, blue = level(g, 1)
+        fgs = _flow_graphs(g.n, edges, blue, 3, "vertex")
+        assert [root for _, root, _, _ in fgs] == [0, 1]
+        assert all(nodes == g.n and origin is None for nodes, _, _, origin in fgs)
+        assert (0, 1) in fgs[0][2]  # root wired to the other blue
 
     def test_whites_reachable_from_blue_stay_reachable(self):
         # any white reachable from some blue vertex in the level subgraph
@@ -194,22 +198,21 @@ class TestMakeFlowGraphs:
 
         for seed in range(25):
             g = gen_random(9, 0.3, seed)
-            ls = level_subgraph(g, 1)
-            if not ls.blue:
+            edges, blue = level(g, 1)
+            if not blue:
                 continue
             reach_from_blue = set()
-            for b in ls.blue:
-                reach_from_blue |= reach_set(g.n, ls.edges, b)
-            targets = reach_from_blue - set(ls.blue)
+            for b in blue:
+                reach_from_blue |= reach_set(g.n, edges, b)
+            targets = reach_from_blue - set(blue)
             for mode, k in (("edge", 2), ("vertex", 2), ("vertex", 3)):
-                for fg in make_flow_graphs(ls, k, mode):
-                    back = {fg.to_original(v): v for v in range(fg.graph.n)}
-                    seen = reach_set(fg.graph.n, fg.graph.edge_list, fg.root)
-                    if fg.kind == "blue-member-root":
-                        # one root per blue vertex; only the union must cover
-                        continue
+                if mode == "vertex" and len(blue) < k:
+                    # one root per blue vertex; only the union must cover
+                    continue
+                for nodes, root, fedges, _ in _flow_graphs(g.n, edges, blue, k, mode):
+                    seen = reach_set(nodes, fedges, root)
                     for w in targets:
-                        assert back[w] in seen, (seed, mode, k, w)
+                        assert w in seen, (seed, mode, k, w)
 
 
 class TestConstantDegreeTransform:

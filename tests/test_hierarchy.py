@@ -12,7 +12,7 @@ from kconn import (
     naive_kscc,
     two_escc_sparse,
 )
-from kconn import hierarchy
+from kconn import hierarchy, local2e
 from kconn.errors import InvariantViolation
 from kconn.graph import WorkGraph
 from kconn.graphio import gen_adversarial_chain, gen_random
@@ -395,3 +395,44 @@ class TestValidation:
         k = max(k, 2)
         assert check_isolation_core(wk.n, wk.verts, local, s, z, side, k, mode) == \
             check_isolation_core(wk.n, wk.verts, full, s, z, side, k, mode)
+
+
+class TestSharedSearch:
+    """The isolated-set search that the level search and the local search share."""
+
+    @staticmethod
+    def assert_isolated(g, edges, res, k, mode):
+        # a result that leaves some vertex outside S is a (k-almost) top SCC
+        # of the whole graph in the searched orientation
+        if res is not None and len(res.s) < g.n:
+            assert check_isolation_core(g.n, range(g.n), edges, res.s, res.z, "forward", k, mode)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_results_are_isolated_in_the_whole_graph(self, data):
+        n = data.draw(st.integers(2, 16))
+        p = data.draw(st.sampled_from([0.1, 0.2, 0.35, 0.5]))
+        g = gen_random(n, p, data.draw(st.integers(0, 10_000)))
+        rev = data.draw(st.booleans())
+        edges = [(v, u) for (u, v) in g.edge_list] if rev else g.edge_list
+
+        # blue set of a level: the vertices with more than 2^i in-edges
+        i = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(2, 4))
+        mode = data.draw(st.sampled_from(["edge", "vertex"]))
+        us, vs, blue = WorkGraph(g).level_edges(i, rev)
+        res = hierarchy._search_side(g.n, list(range(n)), us, vs, blue, k, mode,
+                                     "forward", None)
+        self.assert_isolated(g, edges, res, k, mode)
+
+        # blue set of a ball: the ball vertices with an in-edge from outside
+        j = data.draw(st.integers(0, n - 1))
+        d = data.draw(st.integers(1, 3))
+        ball = set(local2e._ball(WorkGraph(g), j, d, rev, None))
+        preds = g.out_adj if rev else g.in_adj
+        verts = sorted(ball)
+        inner = [(u, v) for v in verts for u in preds[v] if u in ball]
+        blue = [v for v in verts if any(u not in ball for u in preds[v])]
+        res = hierarchy._search_side(g.n, verts, [e[0] for e in inner],
+                                     [e[1] for e in inner], blue, 2, "edge", "forward", None)
+        self.assert_isolated(g, edges, res, 2, "edge")

@@ -42,6 +42,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_graph_text("2 1\n0 x\n")
 
+    @pytest.mark.parametrize("header", ["p sp -1 0", "p sp 3 -1"])
+    def test_dimacs_negative_problem_line(self, header):
+        with pytest.raises(ParseError) as err:
+            parse_graph_text(f"c comment\n{header}\n")
+        assert err.value.line == 2
+
     def test_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_graph_text("3 2\n0 1\n")
@@ -177,6 +183,13 @@ class TestCli:
         g = parse_graph_text(text)
         assert g == gen_random(6, 0.4, 3)
 
+    def test_gen_negative_n_exit_code(self, capsys):
+        assert main(["gen", "random", "--n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "GraphError",
+                                            "message": "n must be non-negative"}
+
     def test_gen_augment(self, tmp_path, capsys):
         base = self._write(tmp_path, "g.txt", "3 3\n0 1\n1 2\n2 0\n")
         assert main(["gen", "augment", "--input", base]) == 0
@@ -305,6 +318,20 @@ class TestBench:
         err = json.loads(captured.err)
         assert err["error"] == "GraphError"
         assert "backends" in err["message"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", "2"), ("k", 1), ("sizes", 5), ("sizes", [True]), ("seeds", [-1]),
+        ("mode", "both"), ("validate", "yes"), ("generator", []), ("algorithms", "kscc"),
+    ])
+    def test_cli_config_value_exit_code(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"algorithms": ["kscc"], key: value}), encoding="utf-8")
+        assert main(["bench", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "GraphError"
+        assert repr(key) in err["message"]
 
     def test_cli_malformed_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bench.json"

@@ -6,12 +6,8 @@ from hypothesis import strategies as st
 
 from kconn import (
     GraphError,
-    RootedFlowGraph,
     bounded_min_separator,
     build_graph,
-    dominator_vertices,
-    edge_dominator,
-    k_dominator,
     k_separator,
     scc,
     strong_articulation_points,
@@ -20,7 +16,9 @@ from kconn import (
 )
 from kconn.graphio import gen_random
 from kconn.primitives import (
+    dominator_set_raw,
     edge_dominators_raw,
+    k_dominator_raw,
     increases_scc_count,
     pairwise_k_connected_impl,
 )
@@ -88,46 +86,48 @@ class TestTopSccExcluding:
             assert top_scc_excluding(g, set())
 
 
+def dominators(g, root):
+    """(dominator, witness) pairs of g rooted at root."""
+    return sorted(dominator_set_raw(g.n, root, *g.edge_arrays()).items())
+
+
+def edge_dominators(g, root):
+    """Edge-dominators of g rooted at root, as edges sorted by head."""
+    return [g.edge_list[i] for i in edge_dominators_raw(g.n, root, *g.edge_arrays())]
+
+
 class TestDominators:
     def test_path(self):
-        fg = RootedFlowGraph.plain(path3(), 0)
-        assert dominator_vertices(fg) == [(1, 2)]
+        assert dominators(path3(), 0) == [(1, 2)]
 
     def test_diamond_no_dominators(self):
-        fg = RootedFlowGraph.plain(diamond(), 0)
-        assert dominator_vertices(fg) == []
+        assert dominators(diamond(), 0) == []
 
     def test_bowtie_center(self, bowtie):
-        fg = RootedFlowGraph.plain(bowtie, 0)
-        assert dominator_vertices(fg) == [(2, 3)]
+        assert dominators(bowtie, 0) == [(2, 3)]
 
     def test_matches_removal_oracle(self):
         for seed in range(60):
             g = gen_random(10, 0.25, seed)
-            fg = RootedFlowGraph.plain(g, 0)
-            got = {v for v, _ in dominator_vertices(fg)}
+            got = {v for v, _ in dominators(g, 0)}
             assert got == set(brute_dominators(g.n, g.edge_list, 0))
 
     def test_edge_dominator_path(self):
-        fg = RootedFlowGraph.plain(path3(), 0)
-        assert edge_dominator(fg) == (0, 1)
+        assert edge_dominators(path3(), 0) == [(0, 1), (1, 2)]
 
     def test_edge_dominator_c3_chord(self):
         g = build_graph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
-        fg = RootedFlowGraph.plain(g, 0)
-        assert edge_dominator(fg) == (0, 1)
+        assert edge_dominators(g, 0) == [(0, 1)]
 
     def test_edge_dominator_bitri_none(self, bitri):
         for r in range(3):
-            assert edge_dominator(RootedFlowGraph.plain(bitri, r)) is None
+            assert edge_dominators(bitri, r) == []
 
     def test_edge_dominator_matches_removal_oracle(self):
         for seed in range(60):
             g = gen_random(9, 0.3, seed)
-            fg = RootedFlowGraph.plain(g, 0)
-            got = edge_dominator(fg)
-            want = brute_edge_dominators(g.n, g.edge_list, 0)
-            assert got == (min(want) if want else None)
+            got = edge_dominators(g, 0)
+            assert sorted(got) == brute_edge_dominators(g.n, g.edge_list, 0)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -281,53 +281,43 @@ class TestKSeparator:
 
 class TestKDominator:
     def test_path_vertex(self):
-        fg = RootedFlowGraph.plain(path3(), 0)
-        sep = k_dominator(fg, 2, "vertex")
-        assert sep.members == (1,)
+        assert k_dominator_raw(3, 0, path3().edge_list, 2, "vertex") == [1]
 
     def test_diamond_pair(self):
-        fg = RootedFlowGraph.plain(diamond(), 0)
-        sep = k_dominator(fg, 3, "vertex")
-        assert sep.members == (1, 2)
+        assert k_dominator_raw(4, 0, diamond().edge_list, 3, "vertex") == [1, 2]
 
     def test_bitri_none(self, bitri):
-        fg = RootedFlowGraph.plain(bitri, 0)
-        assert k_dominator(fg, 2, "vertex") is None
+        assert k_dominator_raw(3, 0, bitri.edge_list, 2, "vertex") is None
 
-    def test_k2_agrees_with_dominator_vertices(self):
+    def test_k2_agrees_with_dominator_set_raw(self):
         for seed in range(40):
             g = gen_random(9, 0.3, seed)
-            fg = RootedFlowGraph.plain(g, 0)
-            sep = k_dominator(fg, 2, "vertex")
-            doms = dominator_vertices(fg)
-            assert (sep is not None) == bool(doms)
-            if sep is not None:
-                assert len(sep.members) == 1
+            z = k_dominator_raw(g.n, 0, g.edge_list, 2, "vertex")
+            doms = dominators(g, 0)
+            assert z == ([min(doms)[0]] if doms else None)
 
     def test_k2_edge_agrees_with_edge_dominator(self):
         for seed in range(40):
             g = gen_random(9, 0.3, seed)
-            fg = RootedFlowGraph.plain(g, 0)
-            sep = k_dominator(fg, 2, "edge")
-            ed = edge_dominator(fg)
-            assert (sep is None) == (ed is None)
-            if sep is not None:
-                assert sep.members == (ed,)
+            z = k_dominator_raw(g.n, 0, g.edge_list, 2, "edge")
+            ed = edge_dominators(g, 0)
+            assert (z is None) == (not ed)
+            if z is not None:
+                assert [g.edge_list[i] for i in z] == [min(ed)]
 
     def test_dominates_and_minimal(self):
         for seed in range(25):
             g = gen_random(8, 0.35, seed)
-            fg = RootedFlowGraph.plain(g, 0)
             for k in (2, 3):
-                sep = k_dominator(fg, k, "vertex")
-                if sep is None:
+                z = k_dominator_raw(g.n, 0, g.edge_list, k, "vertex")
+                if z is None:
                     continue
-                assert len(sep.members) < k
+                assert len(z) < k
                 base = reach_set(g.n, g.edge_list, 0)
-                after = reach_set(g.n, g.edge_list, 0, drop_v=sep.members)
-                assert base - after - set(sep.members)
-                for i in range(len(sep.members)):
-                    sub = sep.members[:i] + sep.members[i + 1:]
+                after = reach_set(g.n, g.edge_list, 0, drop_v=z)
+                assert base - after - set(z)
+                for i in range(len(z)):
+                    sub = z[:i] + z[i + 1:]
                     a2 = reach_set(g.n, g.edge_list, 0, drop_v=sub)
                     assert not (base - a2 - set(sub))
 
