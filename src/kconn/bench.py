@@ -31,6 +31,24 @@ CONFIG_KEYS = {
     "validate": (lambda v: isinstance(v, bool), "true or false"),
 }
 
+# the same for the keys of the generator object
+GENERATOR_KEYS = {
+    "kind": (lambda v: v in ("random", "chain"), '"random" or "chain"'),
+    "p": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+    "block_size": (lambda v: type(v) is int and v >= 3, "an integer >= 3"),
+}
+
+
+def _check_keys(obj, table, where):
+    """Raise GraphError naming the first key of ``obj`` that ``table`` refuses."""
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise GraphError(f"unknown {where} keys {unknown}; expected some of {list(table)}")
+    for key, value in obj.items():
+        valid, want = table[key]
+        if not valid(value):
+            raise GraphError(f"{where} key {key!r} must be {want}, not {value!r}")
+
 
 @dataclass
 class RunReport:
@@ -96,14 +114,11 @@ def run_algorithm(name, g, k, mode, validate=True):
 
 
 def _make_instance(generator, size, seed):
-    kind = generator.get("kind", "random")
-    if kind == "random":
+    if generator.get("kind", "random") == "random":
         p = generator.get("p", 0.1)
         return gen_random(size, p, seed), f"random(n={size},p={p},seed={seed})"
-    if kind == "chain":
-        b = generator.get("block_size", 4)
-        return gen_adversarial_chain(size, b), f"chain(blocks={size},b={b})"
-    raise GraphError(f"unknown generator kind {kind!r}")
+    b = generator.get("block_size", 4)
+    return gen_adversarial_chain(size, b), f"chain(blocks={size},b={b})"
 
 
 def bench_run(config):
@@ -111,17 +126,12 @@ def bench_run(config):
 
     Digests of all algorithms on one instance must agree; a mismatch raises
     BenchMismatch naming the instance and seed.  Unknown config keys and
-    values of the wrong type or range raise GraphError.
+    values of the wrong type or range raise GraphError, in the config and in
+    its generator object alike.
     """
-    unknown = sorted(set(config) - set(CONFIG_KEYS))
-    if unknown:
-        raise GraphError(
-            f"unknown bench config keys {unknown}; expected some of {list(CONFIG_KEYS)}"
-        )
-    for key, value in config.items():
-        valid, want = CONFIG_KEYS[key]
-        if not valid(value):
-            raise GraphError(f"bench config key {key!r} must be {want}, not {value!r}")
+    _check_keys(config, CONFIG_KEYS, "bench config")
+    generator = config.get("generator", {"kind": "random", "p": 0.1})
+    _check_keys(generator, GENERATOR_KEYS, "bench config generator")
     algorithms = list(config.get("algorithms", []))
     if not algorithms:
         return []
@@ -132,7 +142,6 @@ def bench_run(config):
     mode = config.get("mode", "edge")
     sizes = config.get("sizes", [30])
     seeds = config.get("seeds", [0])
-    generator = config.get("generator", {"kind": "random", "p": 0.1})
     validate = config.get("validate", True)
     reports = []
     for size in sizes:

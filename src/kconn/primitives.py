@@ -418,6 +418,55 @@ def bounded_min_separator(g, s, t, k, mode, counters=None):
     raise GraphError(f"bad mode {mode!r}")
 
 
+# --- greedy arborescence packing ---------------------------------------------
+
+
+def _tree_cover(n, root, edges, k):
+    """How many of k greedy arc-disjoint arborescences from root reach each node.
+
+    Tree i is a depth-first search from root over the edges that no earlier
+    tree took as a tree edge; parallel edges count separately.  A node t
+    with ``cover[t] >= k`` has k arc-disjoint root->t tree paths, so k
+    edge-disjoint paths.  The converse needs an optimal packing (Edmonds'
+    branching theorem: k arc-disjoint spanning trees exist when the root
+    reaches every node by k edge-disjoint paths); a greedy one may fall
+    short, so ``cover[t] < k`` proves nothing.  Tree 1 searches every edge,
+    so ``cover[t] > 0`` exactly when root reaches t.
+    """
+    out = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        out[u].append(i)
+    heads = [v for (_, v) in edges]
+    used = [False] * len(edges)
+    cover = [0] * n
+    for _ in range(k):
+        seen = [False] * n
+        seen[root] = True
+        pos = [0] * n
+        stack = [root]
+        grew = False
+        while stack:
+            u = stack[-1]
+            lst = out[u]
+            i = pos[u]
+            while i < len(lst) and (used[lst[i]] or seen[heads[lst[i]]]):
+                i += 1
+            if i == len(lst):
+                stack.pop()
+                continue
+            pos[u] = i + 1
+            e = lst[i]
+            v = heads[e]
+            used[e] = True
+            seen[v] = True
+            cover[v] += 1
+            stack.append(v)
+            grew = True
+        if not grew:
+            break
+    return cover
+
+
 # --- k-separators -------------------------------------------------------------
 
 
@@ -454,9 +503,12 @@ def k_separator_raw(n, verts, edges, k, mode, counters=None):
     """Some minimal k-separator of a strongly connected (sub)graph, or None.
 
     k == 2 uses the dominator-based strong bridge / articulation point
-    search; k > 2 runs bounded max-flow between a small set of anchor
+    search.  k > 2 runs bounded max-flow between a small set of anchor
     vertices (any k anchors suffice: a cut of size < k misses at least one)
-    and every other vertex, in both directions.
+    and every other vertex, in both directions.  Edge mode needs one anchor
+    s and first packs greedy arc-disjoint trees from s in the graph and in
+    its reverse: a pair that k trees reach carries k edge-disjoint paths,
+    so flow runs only on the pairs the packing leaves uncertified.
     """
     verts = sorted(verts)
     if len(verts) <= 1:
@@ -483,34 +535,49 @@ def k_separator_raw(n, verts, edges, k, mode, counters=None):
             return None
         return Separator("vertex", (min(cands),), "k-separator")
 
+    net = None
+    for a, b in _separator_queries(n, verts, edges, k, mode):
+        if net is None:
+            net = EdgeFlowNet(n, edges) if mode == "edge" else VertexFlowNet(n, edges, k)
+        value, augs = net.query(a, b, k)
+        if counters is not None:
+            counters.flow(augs)
+        if value < k:
+            if mode == "edge":
+                cut = [edges[i] for i in net.mincut_edges(a)]
+            else:
+                cut = net.mincut_vertices()
+            cut = _minimalize(
+                cut,
+                lambda mem: increases_scc_count(n, verts, edges, mem, mode),
+            )
+            return Separator(mode, tuple(sorted(cut)), "k-separator")
+    return None
+
+
+def _separator_queries(n, verts, edges, k, mode):
+    """The (source, sink) flow queries of :func:`k_separator_raw`, in order.
+
+    Edge mode leaves out the pairs that :func:`_tree_cover` certifies.
+    """
     if mode == "edge":
-        net = EdgeFlowNet(n, edges)
-        sources = verts[:1]
-    else:
-        net = VertexFlowNet(n, edges, k)
-        sources = verts[: min(k, len(verts))]
+        s = verts[0]
+        fwd = _tree_cover(n, s, edges, k)
+        bwd = _tree_cover(n, s, [(b, a) for (a, b) in edges], k)
+        for t in verts[1:]:
+            if fwd[t] < k:
+                yield s, t
+            if bwd[t] < k:
+                yield t, s
+        return
     edge_set = set(edges)
-    for s in sources:
+    for s in verts[: min(k, len(verts))]:
         for t in verts:
             if t == s:
                 continue
             for a, b in ((s, t), (t, s)):
-                if mode == "vertex" and (a, b) in edge_set:
-                    continue
-                value, augs = net.query(a, b, k)
-                if counters is not None:
-                    counters.flow(augs)
-                if value < k:
-                    if mode == "edge":
-                        cut = [edges[i] for i in net.mincut_edges(a)]
-                    else:
-                        cut = net.mincut_vertices()
-                    cut = _minimalize(
-                        cut,
-                        lambda mem: increases_scc_count(n, verts, edges, mem, mode),
-                    )
-                    return Separator(mode, tuple(sorted(cut)), "k-separator")
-    return None
+                if (a, b) not in edge_set:
+                    yield a, b
 
 
 def k_separator(g, k, mode, counters=None):
@@ -560,9 +627,12 @@ def k_dominator_raw(n, root, edges, k, mode, counters=None):
     """Minimal k-dominator of the flow graph (root, edges), or None.
 
     Returns a sorted list of vertices (vertex mode) or edge indices (edge
-    mode).  k == 2 degenerates to the dominator-tree searches; k > 2 runs a
-    bounded max-flow from the root to each reachable vertex, extracting and
-    minimalizing the first short cut.
+    mode).  k == 2 degenerates to the dominator-tree searches.  k > 2 runs
+    a bounded max-flow from the root to the reachable vertices in id order,
+    extracting and minimalizing the first short cut.  Vertex mode runs it to
+    every reachable vertex; edge mode skips each vertex that k greedy
+    arc-disjoint trees from the root reach (:func:`_tree_cover`), as k
+    edge-disjoint paths lead there.
     """
     us = [e[0] for e in edges]
     vs = [e[1] for e in edges]
@@ -577,15 +647,18 @@ def k_dominator_raw(n, root, edges, k, mode, counters=None):
             return None
         return [min(idxs, key=lambda i: edges[i])]
 
-    indptr, indices = build_csr(n, us, vs)
-    reach_full = kernels.reach(n, root, indptr, indices)
     if mode == "vertex":
-        net = VertexFlowNet(n, edges, k)
+        indptr, indices = build_csr(n, us, vs)
+        reach_full = kernels.reach(n, root, indptr, indices)
+        targets = [t for t in range(n) if t != root and reach_full[t]]
     else:
-        net = EdgeFlowNet(n, edges)
-    for t in range(n):
-        if t == root or not reach_full[t]:
-            continue
+        cover = _tree_cover(n, root, edges, k)
+        reach_full = [c > 0 for c in cover]
+        targets = [t for t in range(n) if t != root and 0 < cover[t] < k]
+    net = None
+    for t in targets:
+        if net is None:
+            net = VertexFlowNet(n, edges, k) if mode == "vertex" else EdgeFlowNet(n, edges)
         value, augs = net.query(root, t, k)
         if counters is not None:
             counters.flow(augs)

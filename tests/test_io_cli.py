@@ -333,6 +333,22 @@ class TestBench:
         assert err["error"] == "GraphError"
         assert repr(key) in err["message"]
 
+    @pytest.mark.parametrize("generator, key", [
+        ({"kind": "random", "p": "0.1"}, "p"), ({"p": True}, "p"), ({"p": 1.5}, "p"),
+        ({"kind": "chain", "block_size": 3.5}, "block_size"), ({"block_size": 2}, "block_size"),
+        ({"block_size": True}, "block_size"), ({"kind": "grid"}, "kind"), ({"seed": 1}, "seed"),
+    ])
+    def test_cli_generator_value_exit_code(self, tmp_path, capsys, generator, key):
+        path = tmp_path / "bench.json"
+        config = {"algorithms": ["kscc"], "sizes": [4], "generator": generator}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["bench", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "GraphError"
+        assert "generator" in err["message"] and repr(key) in err["message"]
+
     def test_cli_malformed_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bench.json"
         path.write_text("{not json", encoding="utf-8")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,17 @@ from kconn import (
     top_scc_excluding,
 )
 from kconn.graphio import gen_random
+from kconn.hierarchy import _flow_graphs
 from kconn.primitives import (
+    EdgeFlowNet,
+    Separator,
+    _minimalize,
+    _tree_cover,
+    dominates_something,
     dominator_set_raw,
     edge_dominators_raw,
     k_dominator_raw,
+    k_separator_raw,
     increases_scc_count,
     pairwise_k_connected_impl,
 )
@@ -320,6 +328,115 @@ class TestKDominator:
                     sub = z[:i] + z[i + 1:]
                     a2 = reach_set(g.n, g.edge_list, 0, drop_v=sub)
                     assert not (base - a2 - set(sub))
+
+
+def block_ring(seed, blocks=3, links=2):
+    """``blocks`` G(n, 0.35) blocks of 6-14 vertices, ``links`` arcs from each to the next."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(6, 14) for _ in range(blocks)]
+    starts = [sum(sizes[:j]) for j in range(blocks)]
+    edges = set()
+    for j, size in enumerate(sizes):
+        b = gen_random(size, 0.35, [seed, j])
+        edges.update((u + starts[j], v + starts[j]) for (u, v) in b.edge_list)
+    for j in range(blocks):
+        nxt = (j + 1) % blocks
+        for _ in range(links):
+            edges.add((starts[j] + rng.randrange(sizes[j]),
+                       starts[nxt] + rng.randrange(sizes[nxt])))
+    return build_graph(sum(sizes), sorted(edges))
+
+
+def flow_everywhere_dominator(n, root, edges, k):
+    """Edge-mode k-dominator with a flow query to every reachable vertex in id order."""
+    net = EdgeFlowNet(n, edges)
+    reach = reach_set(n, edges, root)
+    for t in range(n):
+        if t == root or t not in reach or net.query(root, t, k)[0] >= k:
+            continue
+        cut = _minimalize(
+            net.mincut_edges(root),
+            lambda mem: dominates_something(n, root, edges, mem, "edge"),
+        )
+        return sorted(cut)
+    return None
+
+
+def flow_everywhere_separator(n, verts, edges, k):
+    """Edge-mode k-separator with flow queries both ways between verts[0] and every vertex."""
+    verts = sorted(verts)
+    net = EdgeFlowNet(n, edges)
+    s = verts[0]
+    for t in verts[1:]:
+        for a, b in ((s, t), (t, s)):
+            if net.query(a, b, k)[0] >= k:
+                continue
+            cut = _minimalize(
+                [edges[i] for i in net.mincut_edges(a)],
+                lambda mem: increases_scc_count(n, verts, edges, mem, "edge"),
+            )
+            return Separator("edge", tuple(sorted(cut)), "k-separator")
+    return None
+
+
+class TestTreeCover:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_certified_vertices_carry_k_edge_disjoint_paths(self, data):
+        n = data.draw(st.integers(2, 9))
+        node = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=30))
+        root = data.draw(node)
+        k = data.draw(st.integers(2, 5))
+        cover = _tree_cover(n, root, edges, k)
+        reach = reach_set(n, edges, root)
+        net = EdgeFlowNet(n, edges)
+        for t in range(n):
+            if t == root:
+                continue
+            assert (cover[t] > 0) == (t in reach)
+            if cover[t] >= k:
+                assert net.query(root, t, k)[0] >= k
+
+    def test_parallel_edges_count_separately(self):
+        assert _tree_cover(3, 0, [(0, 1), (0, 1), (0, 1), (1, 2)], 3) == [0, 3, 1]
+
+
+class TestFlowSkipping:
+    """Edge-mode k >= 3 results equal those of a flow query to every vertex."""
+
+    def cases(self):
+        rng = random.Random(11)
+        for seed in range(30):
+            n = rng.randint(8, 30)
+            yield gen_random(n, 5.0 / n, seed)
+            yield gen_random(n, 0.5, seed)
+            yield block_ring(seed)
+
+    def test_k_dominator_raw(self):
+        found = none = 0
+        rng = random.Random(5)
+        for g in self.cases():
+            edges = list(g.edge_list)
+            for k in (3, 4, 5):
+                blue = sorted(rng.sample(range(g.n), rng.randint(1, 4)))
+                ((nodes, root, fedges, _),) = _flow_graphs(g.n, edges, blue, k, "edge")
+                for n, r, es in ((g.n, 0, edges), (nodes, root, fedges)):
+                    want = flow_everywhere_dominator(n, r, es, k)
+                    assert k_dominator_raw(n, r, es, k, "edge") == want
+                    found += want is not None
+                    none += want is None
+        assert found and none
+
+    def test_k_separator_raw(self):
+        found = none = 0
+        for g in self.cases():
+            for k in (3, 4, 5):
+                want = flow_everywhere_separator(g.n, range(g.n), g.edge_list, k)
+                assert k_separator_raw(g.n, range(g.n), g.edge_list, k, "edge") == want
+                found += want is not None
+                none += want is None
+        assert found and none
 
 
 class TestPairwiseKConnected:
