@@ -45,6 +45,23 @@ class Graph:
             self.add_edge(u, v)
         self.m = len(self.edge_list)
 
+    @classmethod
+    def from_checked(cls, n, edges, edge_set):
+        """Graph on a list of edges already known to be in range, free of
+        self-loops and distinct; ``edge_set`` holds the same edges.  The
+        graph takes both over."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.out_adj = out_adj = [[] for _ in range(n)]
+        g.in_adj = in_adj = [[] for _ in range(n)]
+        for u, v in edges:
+            out_adj[u].append(v)
+            in_adj[v].append(u)
+        g.edge_list = edges
+        g._edge_set = edge_set
+        g.m = len(edges)
+        return g
+
     def add_edge(self, u, v):
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise GraphError(f"edge ({u}, {v}) out of range for n={self.n}")

@@ -42,28 +42,29 @@ def parse_graph_text(text, fmt="auto"):
     raise ParseError(f"unknown format {fmt!r}")
 
 
-def _checked_add(g, u, v, seen, lineno):
+def _checked_add(n, edges, seen, u, v, lineno):
+    """Append edge (u, v) after the checks that ``Graph`` would repeat."""
     if u == v:
         raise ParseError(f"self-loop ({u}, {v})", lineno)
     if (u, v) in seen:
         raise ParseError(f"duplicate edge ({u}, {v})", lineno)
-    if not (0 <= u < g.n and 0 <= v < g.n):
+    if not (0 <= u < n and 0 <= v < n):
         raise ParseError(f"vertex out of range in edge ({u}, {v})", lineno)
     seen.add((u, v))
-    g.add_edge(u, v)
+    edges.append((u, v))
 
 
 def _parse_edgelist(lines):
-    g = None
+    n = None
     m_expected = None
+    edges = []
     seen = set()
-    count = 0
     for lineno, raw in enumerate(lines, start=1):
         s = raw.strip()
         if not s or s.startswith("#"):
             continue
         parts = s.split()
-        if g is None:
+        if n is None:
             if len(parts) != 2:
                 raise ParseError("expected header 'n m'", lineno)
             try:
@@ -72,7 +73,6 @@ def _parse_edgelist(lines):
                 raise ParseError("expected integer header 'n m'", lineno)
             if n < 0 or m_expected < 0:
                 raise ParseError("negative header values", lineno)
-            g = Graph(n, [])
             continue
         if len(parts) != 2:
             raise ParseError("expected edge line 'u v'", lineno)
@@ -80,27 +80,26 @@ def _parse_edgelist(lines):
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError("expected integer edge 'u v'", lineno)
-        _checked_add(g, u, v, seen, lineno)
-        count += 1
-    if g is None:
+        _checked_add(n, edges, seen, u, v, lineno)
+    if n is None:
         raise ParseError("empty input", None)
-    if count != m_expected:
-        raise ParseError(f"expected {m_expected} edges, found {count}", None)
-    return g
+    if len(edges) != m_expected:
+        raise ParseError(f"expected {m_expected} edges, found {len(edges)}", None)
+    return Graph.from_checked(n, edges, seen)
 
 
 def _parse_dimacs(lines):
-    g = None
+    n = None
     m_expected = None
+    edges = []
     seen = set()
-    count = 0
     for lineno, raw in enumerate(lines, start=1):
         s = raw.strip()
         if not s or s.startswith("c"):
             continue
         parts = s.split()
         if parts[0] == "p":
-            if g is not None:
+            if n is not None:
                 raise ParseError("duplicate problem line", lineno)
             if len(parts) < 3:
                 raise ParseError("malformed problem line", lineno)
@@ -110,10 +109,9 @@ def _parse_dimacs(lines):
                 raise ParseError("malformed problem line", lineno)
             if n < 0 or m_expected < 0:
                 raise ParseError("negative problem line values", lineno)
-            g = Graph(n, [])
             continue
         if parts[0] == "a":
-            if g is None:
+            if n is None:
                 raise ParseError("arc before problem line", lineno)
             if len(parts) != 3:
                 raise ParseError("expected arc line 'a u v'", lineno)
@@ -121,15 +119,14 @@ def _parse_dimacs(lines):
                 u, v = int(parts[1]) - 1, int(parts[2]) - 1
             except ValueError:
                 raise ParseError("expected integer arc 'a u v'", lineno)
-            _checked_add(g, u, v, seen, lineno)
-            count += 1
+            _checked_add(n, edges, seen, u, v, lineno)
             continue
         raise ParseError(f"unknown line type {parts[0]!r}", lineno)
-    if g is None:
+    if n is None:
         raise ParseError("missing problem line", None)
-    if count != m_expected:
-        raise ParseError(f"expected {m_expected} arcs, found {count}", None)
-    return g
+    if len(edges) != m_expected:
+        raise ParseError(f"expected {m_expected} arcs, found {len(edges)}", None)
+    return Graph.from_checked(n, edges, seen)
 
 
 def write_edgelist(g):

@@ -10,12 +10,13 @@ from dataclasses import dataclass
 from .errors import GraphError, InvariantViolation
 from .graph import WorkGraph, degree_gamma
 from .primitives import (
+    DominatorSearch,
     is_strongly_connected,
-    k_dominator_raw,
     k_separator_raw,
     pairwise_k_connected_impl,
     top_scc_of,
 )
+from .primitives import k_dominator_raw  # noqa: F401  (perfbench/tests patch this binding)
 
 __all__ = [
     "Counters",
@@ -180,45 +181,74 @@ def _flow_graphs(n, edges, blue, k, mode):
     return [(n, w, edges + [(w, b) for b in blue if b != w], None) for w in blue]
 
 
+def _top_scc_within(n, part, edges, counters):
+    """Smallest-id top SCC of the subgraph that ``part`` induces; the edges
+    read are charged to ``counters.level``."""
+    inside = set(part)
+    sub = [(u, v) for (u, v) in edges if v in inside and u in inside]
+    counters.level(len(sub))
+    return top_scc_of(n, part, [u for u, _ in sub], [v for _, v in sub])
+
+
 def _search_side(n, verts, us, vs, blue, k, mode, side, counters):
     """Isolated-set search in one direction; returns an IsolationResult or None.
 
     ``verts`` with the edges us->vs is a level subgraph or a ball, and
-    ``blue`` holds its vertices that miss in-edges from outside it.  Tries,
-    in order: a blue-free top SCC; a k-dominator of the flow graphs rooted
-    at the blue set, whose removal leaves a blue-free top SCC; and for
-    vertex mode with a small blue set, the explicit Z >= blue special cases.
-    Work is charged to ``counters.level``; None charges nothing.
+    ``blue`` holds its vertices that miss in-edges from outside it.  One
+    pass over each flow graph rooted at the blue set (a
+    :class:`DominatorSearch`) answers the search:
+
+    - the vertices U that are not blue and that the root does not reach
+      have no in-edge from outside U, so the top SCCs of U are exactly the
+      blue-free top SCCs of the subgraph; the smallest-id one is returned
+      ("tscc");
+    - else a k-dominator Z of the flow graph, and the vertices C it cuts
+      off from the root: once Z is removed, the top SCCs of C are exactly
+      the blue-free top SCCs, and the smallest-id one is returned
+      ("dominator");
+    - else, for vertex mode with a small blue set, the explicit Z >= blue
+      special cases.
+
+    Work is charged to ``counters.level``: the level edges, twice each flow
+    graph's edges, and the edges of U or C.  None charges nothing.
     """
     counters = counters if counters is not None else Counters()
     counters.level(len(us))
-    S = top_scc_of(n, verts, us, vs, exclude=blue)
-    if S is not None:
-        return IsolationResult(S, [], side, "tscc")
-
     edges = list(zip(us, vs))
-    for nodes, root, fedges, origin in _flow_graphs(n, edges, blue, k, mode):
+    if not blue:
+        # no root: nothing is reached
+        if verts:
+            return IsolationResult(_top_scc_within(n, verts, edges, counters), [], side, "tscc")
+        return None
+    blue_set = set(blue)
+    for idx, (nodes, root, fedges, origin) in enumerate(_flow_graphs(n, edges, blue, k, mode)):
         counters.level(2 * len(fedges))
-        z = k_dominator_raw(nodes, root, fedges, k, mode, counters)
-        if z is None:
+        search = DominatorSearch(nodes, root, fedges, k, mode)
+        if idx == 0:
+            # every flow graph's root reaches what the blue set reaches; the
+            # edge-mode root stands for the blue set, so list it apart
+            reached = search.reached
+            unreached = [v for v in verts if v not in reached and v not in blue_set]
+            if unreached:
+                S = _top_scc_within(n, unreached, edges, counters)
+                return IsolationResult(S, [], side, "tscc")
+        found = search.find(counters)
+        if found is None:
             continue
+        z, cut = found
         if mode == "edge":
             z = [edges[origin[j]] for j in z]
-            counters.level(len(edges) - len(z))
-        else:
-            counters.level(len(edges))
-        S = _top_after_removal(n, verts, edges, z, mode, blue)
+            if side == "reverse":
+                z = [(b, a) for (a, b) in z]
+        S = _top_scc_within(n, cut, edges, counters)
         if S is None:
-            raise InvariantViolation(f"{mode} dominator found but no blue-free top SCC")
-        if side == "reverse" and mode == "edge":
-            z = [(b, a) for (a, b) in z]
+            raise InvariantViolation(f"{mode} dominator found but cuts nothing off")
         return IsolationResult(S, sorted(z), side, "dominator")
     if mode == "edge" or len(blue) >= k:
         return None
 
     # vertex mode, 0 < |blue| < k, no dominator: the separators containing
     # the whole blue set
-    blue_set = set(blue)
     verts2 = [v for v in verts if v not in blue_set]
     edges2 = [(u, v) for (u, v) in edges if u not in blue_set and v not in blue_set]
     if not verts2:
@@ -379,7 +409,8 @@ def _validate_split(wk, res, k, mode, rng, counters):
 
     Reads the working graph without purging it and charges no counter, so a
     validated run does the same work as an unvalidated one.  The isolation
-    check gets only the edges with an endpoint in S, the only ones it reads.
+    check gets only the edges with an endpoint in S, the only ones it reads;
+    the sampled Menger checks share one flow network of the working graph.
     """
     s_set = set(res.s)
     if mode == "vertex":
@@ -396,6 +427,7 @@ def _validate_split(wk, res, k, mode, rng, counters):
         )
     if wk.n_alive <= 40:
         sub, old_ids = wk.to_graph()
+        nets = {}
         to_new = {v: i for i, v in enumerate(old_ids)}
         s_local = [to_new[v] for v in res.s]
         comp_local = [to_new[v] for v in complement]
@@ -407,7 +439,7 @@ def _validate_split(wk, res, k, mode, rng, counters):
             if (u, v) in checked:
                 continue
             checked.add((u, v))
-            if pairwise_k_connected_impl(sub, u, v, k, mode):
+            if pairwise_k_connected_impl(sub, u, v, k, mode, nets=nets):
                 raise InvariantViolation(
                     f"cross pair ({old_ids[u]}, {old_ids[v]}) is {k}-connected across a split"
                 )

@@ -160,6 +160,30 @@ def dominator_set_raw(n, root, us, vs):
     return witness
 
 
+def _dominator_tree(n, root, us, vs):
+    """Dominator tree of the flow graph, in the local ids of :func:`_compact`.
+
+    Returns (ids, root, us, vs, idom, children): the local root and edge
+    arrays, idom as a list (-1 for vertices root does not reach) and each
+    vertex's children in the tree.
+    """
+    ids, root, us, vs = _compact(n, root, us, vs)
+    idom = idoms_raw(len(ids), root, us, vs).tolist()
+    children = [[] for _ in ids]
+    for v, p in enumerate(idom):
+        if p >= 0 and v != root:
+            children[p].append(v)
+    return ids, root, us, vs, idom, children
+
+
+def _subtree(children, v):
+    """v and its descendants in a tree given by child lists."""
+    out = [v]
+    for x in out:
+        out.extend(children[x])
+    return out
+
+
 def edge_dominators_raw(n, root, us, vs):
     """Indices of edge-dominators: edges e=(u,v) on every root->v path.
 
@@ -172,13 +196,13 @@ def edge_dominators_raw(n, root, us, vs):
     """
     if len(us) == 0:
         return []
-    ids, root, us, vs = _compact(n, root, us, vs)
+    return _tree_edge_dominators(_dominator_tree(n, root, us, vs))
+
+
+def _tree_edge_dominators(tree):
+    """:func:`edge_dominators_raw` read off a :func:`_dominator_tree`."""
+    ids, root, us, vs, idom, children = tree
     n = len(ids)
-    idom = idoms_raw(n, root, us, vs).tolist()
-    children = [[] for _ in range(n)]
-    for v, p in enumerate(idom):
-        if p >= 0 and v != root:
-            children[p].append(v)
     # BFS order of the tree, subtree sizes bottom-up, preorder starts top-down
     order = [root]
     for v in order:
@@ -593,113 +617,171 @@ def k_separator(g, k, mode, counters=None):
 # --- k-dominators ---------------------------------------------------------------
 
 
+def _cut_off(n, root, csr, members, mode, reach_full):
+    """Vertices that root reaches (``reach_full``) and that no root path
+    avoiding ``members`` reaches, members and root excluded.
+
+    ``csr`` is (indptr, indices, eids) of the flow graph; edge mode takes
+    ``members`` as edge indices.
+    """
+    indptr, indices, eids = csr
+    if mode == "vertex":
+        blocked = np.zeros(n, dtype=np.uint8)
+        blocked[list(members)] = 1
+        vis = kernels.reach_skip_vertices(n, root, indptr, indices, blocked) | blocked
+    else:
+        blocked = np.zeros(max(len(eids), 1), dtype=np.uint8)
+        blocked[list(members)] = 1
+        vis = kernels.reach_skip_edges(n, root, indptr, indices, eids, blocked)
+    vis[root] = 1
+    return np.flatnonzero(np.asarray(reach_full, dtype=bool) & (vis == 0)).tolist()
+
+
+def _flow_csr(n, edges):
+    """(indptr, indices, eids) of a flow graph given as an edge list."""
+    return build_csr_with_eids(n, [e[0] for e in edges], [e[1] for e in edges])
+
+
 def dominates_something(n, root, edges, members, mode, reach_full=None):
     """Is some reachable non-root vertex cut off from root by ``members``?
 
     Edge mode takes ``members`` as edge indices so parallel edges (which a
     contracted flow graph may contain) keep their individual identity.
     """
-    us = np.asarray([e[0] for e in edges], dtype=_I)
-    vs = np.asarray([e[1] for e in edges], dtype=_I)
-    indptr, indices, eids = build_csr_with_eids(n, us, vs)
+    csr = _flow_csr(n, edges)
     if reach_full is None:
-        reach_full = kernels.reach(n, root, indptr, indices)
-    if mode == "vertex":
-        blocked = np.zeros(n, dtype=np.uint8)
-        for v in members:
-            blocked[v] = 1
-        vis = kernels.reach_skip_vertices(n, root, indptr, indices, blocked)
-        for v in range(n):
-            if v != root and reach_full[v] and not vis[v] and not blocked[v]:
-                return True
-        return False
-    blocked_e = np.zeros(max(len(edges), 1), dtype=np.uint8)
-    for i in members:
-        blocked_e[i] = 1
-    vis = kernels.reach_skip_edges(n, root, indptr, indices, eids, blocked_e)
-    for v in range(n):
-        if v != root and reach_full[v] and not vis[v]:
-            return True
-    return False
+        reach_full = kernels.reach(n, root, csr[0], csr[1])
+    return bool(_cut_off(n, root, csr, members, mode, reach_full))
+
+
+class DominatorSearch:
+    """The k-dominator search of one flow graph (root, edges), whose first
+    pass also says which vertices root reaches.
+
+    Construction runs that pass: the dominator tree for k == 2, a BFS
+    (vertex mode) or the greedy tree cover of :func:`_tree_cover` (edge
+    mode) for k > 2.  ``reached`` is the set of vertices other than root
+    that root reaches.  :meth:`find` finishes the search.
+    """
+
+    def __init__(self, n, root, edges, k, mode):
+        self.n, self.root, self.edges, self.k, self.mode = n, root, edges, k, mode
+        self.tree = None
+        if k == 2:
+            if edges:
+                self.tree = _dominator_tree(
+                    n, root, [e[0] for e in edges], [e[1] for e in edges])
+                ids, r, _, _, idom, _ = self.tree
+                self.reached = {ids[v] for v, p in enumerate(idom) if p >= 0 and v != r}
+            else:
+                self.reached = set()
+            return
+        if mode == "vertex":
+            self.csr = _flow_csr(n, edges)
+            self.reach_full = kernels.reach(n, root, self.csr[0], self.csr[1])
+            self.targets = [t for t in np.flatnonzero(self.reach_full).tolist() if t != root]
+            self.reached = set(self.targets)
+        else:
+            self.csr = None
+            cover = _tree_cover(n, root, edges, k)
+            self.reach_full = [c > 0 for c in cover]
+            self.targets = [t for t in range(n) if t != root and 0 < cover[t] < k]
+            self.reached = {t for t in range(n) if cover[t] > 0 and t != root}
+
+    def find(self, counters=None):
+        """A minimal k-dominator z and the vertices it cuts off, or None.
+
+        z is a sorted list of vertices (vertex mode) or edge indices (edge
+        mode), chosen as :func:`k_dominator_raw` describes.  The vertices
+        it cuts off are those outside z that root reaches, but no longer
+        once z is removed: in the dominator tree, the strict descendants of
+        z's vertex (k == 2, vertex mode) or the subtree of z's head (k == 2,
+        edge mode); for k > 2, what the last reachability test of
+        :func:`_minimalize` leaves unreached.
+        """
+        if self.k == 2:
+            if self.tree is None:
+                return None
+            ids, r, _, vs, idom, children = self.tree
+            if self.mode == "vertex":
+                # ids is ascending, so the smallest local id is the smallest vertex
+                d = min((p for v, p in enumerate(idom) if v != r and p >= 0 and p != r),
+                        default=None)
+                if d is None:
+                    return None
+                return [ids[d]], [ids[x] for x in _subtree(children, d)[1:]]
+            idxs = _tree_edge_dominators(self.tree)
+            if not idxs:
+                return None
+            i = min(idxs, key=lambda j: self.edges[j])
+            return [i], [ids[x] for x in _subtree(children, int(vs[i]))]
+
+        n, root, edges, k, mode = self.n, self.root, self.edges, self.k, self.mode
+        net = None
+        for t in self.targets:
+            if net is None:
+                net = VertexFlowNet(n, edges, k) if mode == "vertex" else EdgeFlowNet(n, edges)
+            value, augs = net.query(root, t, k)
+            if counters is not None:
+                counters.flow(augs)
+            if value >= k:
+                continue
+            if mode == "vertex":
+                cut = net.mincut_vertices()
+            else:
+                cut = net.mincut_edges(root)
+            if self.csr is None:
+                self.csr = _flow_csr(n, edges)
+            kept = [None]  # what the last subset that _minimalize kept cuts off
+
+            def still_dominates(mem):
+                off = _cut_off(n, root, self.csr, mem, mode, self.reach_full)
+                if off:
+                    kept[0] = off
+                return bool(off)
+
+            z = _minimalize(cut, still_dominates)
+            if len(z) == len(cut):  # nothing dropped, so the cut itself was never tried
+                kept[0] = _cut_off(n, root, self.csr, z, mode, self.reach_full)
+            return sorted(z), kept[0]
+        return None
 
 
 def k_dominator_raw(n, root, edges, k, mode, counters=None):
     """Minimal k-dominator of the flow graph (root, edges), or None.
 
     Returns a sorted list of vertices (vertex mode) or edge indices (edge
-    mode).  k == 2 degenerates to the dominator-tree searches.  k > 2 runs
+    mode).  k == 2 takes the smallest dominator (vertex mode) or the
+    smallest edge-dominator (edge mode) off the dominator tree.  k > 2 runs
     a bounded max-flow from the root to the reachable vertices in id order,
     extracting and minimalizing the first short cut.  Vertex mode runs it to
     every reachable vertex; edge mode skips each vertex that k greedy
     arc-disjoint trees from the root reach (:func:`_tree_cover`), as k
-    edge-disjoint paths lead there.
+    edge-disjoint paths lead there.  :class:`DominatorSearch` runs it.
     """
-    us = [e[0] for e in edges]
-    vs = [e[1] for e in edges]
-    if k == 2:
-        if mode == "vertex":
-            doms = dominator_set_raw(n, root, us, vs)
-            if not doms:
-                return None
-            return [min(doms)]
-        idxs = edge_dominators_raw(n, root, us, vs)
-        if not idxs:
-            return None
-        return [min(idxs, key=lambda i: edges[i])]
-
-    if mode == "vertex":
-        indptr, indices = build_csr(n, us, vs)
-        reach_full = kernels.reach(n, root, indptr, indices)
-        targets = [t for t in range(n) if t != root and reach_full[t]]
-    else:
-        cover = _tree_cover(n, root, edges, k)
-        reach_full = [c > 0 for c in cover]
-        targets = [t for t in range(n) if t != root and 0 < cover[t] < k]
-    net = None
-    for t in targets:
-        if net is None:
-            net = VertexFlowNet(n, edges, k) if mode == "vertex" else EdgeFlowNet(n, edges)
-        value, augs = net.query(root, t, k)
-        if counters is not None:
-            counters.flow(augs)
-        if value >= k:
-            continue
-        if mode == "vertex":
-            cut = net.mincut_vertices()
-        else:
-            cut = net.mincut_edges(root)
-        cut = _minimalize(
-            cut,
-            lambda mem: dominates_something(n, root, edges, mem, mode, reach_full),
-        )
-        return sorted(cut)
-    return None
+    found = DominatorSearch(n, root, edges, k, mode).find(counters)
+    return None if found is None else found[0]
 
 
 # --- pairwise k-connectivity (Menger queries) -----------------------------------
 
 
-def pairwise_k_connected_impl(g, u, v, k, mode, enumeration_limit=13):
+def pairwise_k_connected_impl(g, u, v, k, mode, enumeration_limit=13, nets=None):
     """Are u and v k-connected in g?
 
     Both directions must carry k disjoint paths (edge-disjoint, or internally
     vertex-disjoint).  Vertex-mode adjacent pairs on small graphs fall back to
     removal enumeration, which follows the definition verbatim; larger graphs
-    use flow with edge capacities that make direct edges uncuttable.
+    use flow with edge capacities that make direct edges uncuttable.  A
+    dict passed as ``nets`` keeps the flow network of g for later calls on
+    the same g, k and mode, so that their pairs share one network; every
+    query starts from zero flow.
     """
     if u == v:
         raise GraphError("u and v must differ")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"vertex ({u}, {v}) out of range")
-    if mode == "edge":
-        net = EdgeFlowNet(g.n, g.edge_list)
-        f1, _ = net.query(u, v, k)
-        if f1 < k:
-            return False
-        f2, _ = net.query(v, u, k)
-        return f2 >= k
-    adjacent = g.has_edge(u, v) or g.has_edge(v, u)
-    if adjacent and g.n <= enumeration_limit:
+    if mode == "vertex" and g.n <= enumeration_limit and (g.has_edge(u, v) or g.has_edge(v, u)):
         from itertools import combinations
 
         others = [x for x in range(g.n) if x != u and x != v]
@@ -718,9 +800,9 @@ def pairwise_k_connected_impl(g, u, v, k, mode, enumeration_limit=13):
                 if not bwd[v]:
                     return False
         return True
-    net = VertexFlowNet(g.n, g.edge_list, k)
-    f1, _ = net.query(u, v, k)
-    if f1 < k:
-        return False
-    f2, _ = net.query(v, u, k)
-    return f2 >= k
+    net = nets.get("flow") if nets is not None else None
+    if net is None:
+        net = EdgeFlowNet(g.n, g.edge_list) if mode == "edge" else VertexFlowNet(g.n, g.edge_list, k)
+        if nets is not None:
+            nets["flow"] = net
+    return net.query(u, v, k)[0] >= k and net.query(v, u, k)[0] >= k

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from kconn.graph import WorkGraph
 from kconn.graphio import gen_adversarial_chain, gen_random
 from kconn.hierarchy import Counters, IsolationResult, check_isolation_core
 from kconn.oracle import brute_force_kscc
+from kconn.primitives import k_dominator_raw
 
 
 def path3():
@@ -306,8 +308,8 @@ class TestValidation:
         # on exactly which entries each scan reads and purges
         g = gen_random(60, 0.05, 2)
         expect = [
-            (2, "vertex", {"level_edges": 15226, "whole_edges": 395, "splits": 85}),
-            (2, "edge", {"level_edges": 14605, "whole_edges": 291, "splits": 59}),
+            (2, "vertex", {"level_edges": 16905, "whole_edges": 395, "splits": 85}),
+            (2, "edge", {"level_edges": 14250, "whole_edges": 291, "splits": 59}),
         ]
         for k, mode, want in expect:
             c = Counters()
@@ -436,3 +438,96 @@ class TestSharedSearch:
         res = hierarchy._search_side(g.n, verts, [e[0] for e in inner],
                                      [e[1] for e in inner], blue, 2, "edge", "forward", None)
         self.assert_isolated(g, edges, res, 2, "edge")
+
+
+def nx_top_scc(verts, edges, exclude=()):
+    """Smallest-id top SCC of (verts, edges) disjoint from ``exclude``, read
+    off networkx's condensation."""
+    g = nx.DiGraph()
+    g.add_nodes_from(verts)
+    g.add_edges_from(edges)
+    c = nx.condensation(g)
+    ex = set(exclude)
+    tops = [sorted(c.nodes[x]["members"]) for x in c if c.in_degree(x) == 0]
+    tops = [t for t in tops if ex.isdisjoint(t)]
+    return min(tops) if tops else None
+
+
+def reference_search(n, verts, us, vs, blue, k, mode, side):
+    """The isolated-set search in three separate steps: a blue-free top SCC
+    of the whole subgraph; else a k-dominator Z of a flow graph; then the
+    blue-free top SCC once Z is removed.  None where the vertex-mode special
+    cases would take over."""
+    edges = list(zip(us, vs))
+    s = nx_top_scc(verts, edges, blue)
+    if s is not None:
+        return s, [], "tscc"
+    for nodes, root, fedges, origin in hierarchy._flow_graphs(n, edges, blue, k, mode):
+        z = k_dominator_raw(nodes, root, fedges, k, mode)
+        if z is None:
+            continue
+        if mode == "edge":
+            z = [edges[origin[j]] for j in z]
+            s = nx_top_scc(verts, [e for e in edges if e not in z], blue)
+            if side == "reverse":
+                z = [(b, a) for (a, b) in z]
+        else:
+            s = nx_top_scc([v for v in verts if v not in z],
+                           [(a, b) for (a, b) in edges if a not in z and b not in z], blue)
+        return s, sorted(z), "dominator"
+    return None
+
+
+class TestSearchMatchesThreeSteps:
+    """``_search_side`` reads U and C off one pass over the flow graph; its
+    results equal those of the three separate steps."""
+
+    @staticmethod
+    def draw_graph(data, ps):
+        # G(n, p), half the time with a Hamiltonian cycle added, so that
+        # every vertex is reached and the dominator branch runs
+        n = data.draw(st.integers(2, 16))
+        g = gen_random(n, data.draw(st.sampled_from(ps)), data.draw(st.integers(0, 10_000)))
+        if data.draw(st.booleans()):
+            cycle = [(v, (v + 1) % n) for v in range(n)]
+            g = build_graph(n, list(dict.fromkeys(g.edge_list + cycle)))
+        return n, g
+
+    @staticmethod
+    def check(n, verts, us, vs, blue, k, mode, side):
+        res = hierarchy._search_side(n, verts, us, vs, blue, k, mode, side, None)
+        want = reference_search(n, verts, us, vs, blue, k, mode, side)
+        if want is None:
+            assert res is None or res.provenance.endswith("-special")
+        else:
+            assert res is not None and (res.s, res.z, res.provenance) == want
+        return res
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_level_subgraphs(self, data):
+        n, g = self.draw_graph(data, [0.1, 0.2, 0.35, 0.5])
+        keep = data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+        wk = WorkGraph(g).restrict(keep)
+        i = data.draw(st.integers(1, 3))
+        rev = data.draw(st.booleans())
+        k = data.draw(st.integers(2, 4))
+        mode = data.draw(st.sampled_from(["edge", "vertex"]))
+        us, vs, blue = wk.level_edges(i, rev)
+        self.check(n, wk.verts, us, vs, blue, k, mode, "reverse" if rev else "forward")
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_balls(self, data):
+        n, g = self.draw_graph(data, [0.1, 0.2, 0.35])
+        rev = data.draw(st.booleans())
+        ball = set(local2e._ball(WorkGraph(g), data.draw(st.integers(0, n - 1)),
+                                 data.draw(st.integers(1, 3)), rev, None))
+        preds = g.out_adj if rev else g.in_adj
+        verts = sorted(ball)
+        inner = [(u, v) for v in verts for u in preds[v] if u in ball]
+        blue = [v for v in verts if any(u not in ball for u in preds[v])]
+        k = data.draw(st.integers(2, 4))
+        mode = data.draw(st.sampled_from(["edge", "vertex"]))
+        self.check(n, verts, [e[0] for e in inner], [e[1] for e in inner], blue, k, mode,
+                   "reverse" if rev else "forward")

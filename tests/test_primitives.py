@@ -477,3 +477,18 @@ class TestPairwiseKConnected:
                         )
                         got = pairwise_k_connected_impl(g, u, v, k, "vertex")
                         assert got == want
+
+    def test_shared_net_matches_fresh_nets(self):
+        # one network answers every pair of a graph, in any order, as a
+        # network built for each pair does
+        for seed in range(12):
+            g = gen_random(16, 0.3, seed)
+            pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+            random.Random(seed).shuffle(pairs)
+            for k in (2, 3):
+                for mode in ("edge", "vertex"):
+                    nets = {}
+                    for u, v in pairs[:60]:
+                        assert pairwise_k_connected_impl(g, u, v, k, mode, nets=nets) == \
+                            pairwise_k_connected_impl(g, u, v, k, mode)
+                    assert nets
