@@ -4,8 +4,6 @@ transform."""
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GraphError, InvariantViolation
 from .kernels import build_csr  # noqa: F401  (perfbench/tests patch this binding)
 
@@ -79,10 +77,8 @@ class Graph:
         return (u, v) in self._edge_set
 
     def edge_arrays(self):
-        if self.m == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        arr = np.asarray(self.edge_list, dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
+        """The edge sources and the edge heads, as two lists in edge order."""
+        return [u for u, _ in self.edge_list], [v for _, v in self.edge_list]
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

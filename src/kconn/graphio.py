@@ -1,8 +1,6 @@
 """Graph file parsing and serialization, component emission, and the
 instance generators."""
 
-import numpy as np
-
 from .errors import GraphError, ParseError
 from .graph import Graph
 
@@ -173,7 +171,13 @@ def emit_components(cs, fmt="text", suppress_degenerate=False):
 
 
 def gen_random(n, p, seed):
-    """G(n, p) digraph: each ordered pair independently with probability p."""
+    """G(n, p) digraph: each ordered pair independently with probability p.
+
+    numpy's PCG64 stream fixes the graph for each seed, so numpy is imported
+    here, and only here.
+    """
+    import numpy as np
+
     if n < 0:
         raise GraphError("n must be non-negative")
     if not 0 <= p <= 1:

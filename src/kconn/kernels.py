@@ -1,17 +1,13 @@
 """Flat-array kernels for the hot graph loops.
 
-Inputs are CSR-style numpy arrays (see :func:`build_csr`).  Each kernel
-copies the arrays it reads into Python lists once with ``.tolist()`` and
-loops over those: CPython indexes a list of ints several times faster than
-it indexes a numpy array one scalar at a time.  Results are returned as
-numpy arrays, as callers index and slice them that way.
-
-The flow kernels are the exception: a flow network is queried many times,
-so it is kept in list form (see ``primitives.FlowNet``) and they take and
-return lists.
+Every kernel takes and returns Python lists: a graph comes as CSR lists
+(see :func:`build_csr`), and results are lists indexed by vertex.  CPython
+indexes a list of ints faster than any array type, and the many small calls
+of a decomposition cost no conversions.  A flow network is queried many
+times, so it is kept in list form as well (see ``primitives.FlowNet``).
 """
 
-import numpy as np
+from itertools import accumulate, chain
 
 __all__ = [
     "backend",
@@ -27,8 +23,6 @@ __all__ = [
     "build_csr_with_eids",
 ]
 
-_I = np.int64
-
 
 def backend():
     """Name of the kernel implementation; there is only the interpreted one."""
@@ -39,39 +33,49 @@ def build_csr(n, us, vs):
     """CSR adjacency (indptr, indices) for edges us[i] -> vs[i].
 
     Stable within each source vertex, so per-vertex edge order follows the
-    input order of the edge arrays.
+    input order of the edge lists.
     """
-    indptr, indices, _ = _csr(n, us, vs)
-    return indptr, indices
+    if len(us) >= 3 * n:
+        # many edges per vertex: one list per source fills fastest; with few,
+        # making those lists costs more than the counting sort saves
+        adj = [[] for _ in range(n)]
+        for u, v in zip(us, vs):
+            adj[u].append(v)
+        indptr = [0]
+        indptr += accumulate(map(len, adj))
+        return indptr, list(chain.from_iterable(adj))
+    return _counting_sort(n, us, vs)
 
 
 def build_csr_with_eids(n, us, vs):
     """Like :func:`build_csr` but also returns the edge id of each CSR slot."""
-    indptr, indices, order = _csr(n, us, vs)
-    return indptr, indices, order.astype(_I)
+    indptr, eids = _counting_sort(n, us, range(len(us)))
+    return indptr, list(map(vs.__getitem__, eids)), eids
 
 
-def _csr(n, us, vs):
-    us = np.asarray(us, dtype=_I)
-    vs = np.asarray(vs, dtype=_I)
-    counts = np.bincount(us, minlength=n) if len(us) else np.zeros(n, dtype=_I)
-    indptr = np.zeros(n + 1, dtype=_I)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(us, kind="stable")
-    return indptr, vs[order], order
+def _counting_sort(n, us, vs):
+    """:func:`build_csr` by a counting sort on the sources."""
+    counts = [0] * n
+    for u in us:
+        counts[u] += 1
+    indptr = [0]
+    indptr += accumulate(counts)
+    pos = indptr[:-1]
+    indices = [0] * len(us)
+    for u, v in zip(us, vs):
+        p = pos[u]
+        indices[p] = v
+        pos[u] = p + 1
+    return indptr, indices
 
 
-def tarjan_scc(n, verts, indptr, indices):
+def tarjan_scc(n, verts, ptr, adj):
     """Iterative Tarjan started from each of the given vertices in turn.
 
     Returns (comp, ncomp); comp[v] == -1 for vertices not reached from
     ``verts``.  Component ids are assigned in completion order (not
     canonical).
     """
-    ptr = indptr.tolist()
-    adj = indices.tolist()
-    if isinstance(verts, np.ndarray):
-        verts = verts.tolist()
     index = [-1] * n
     low = [0] * n
     on = [False] * n
@@ -125,46 +129,49 @@ def tarjan_scc(n, verts, indptr, indices):
                     pv = cs_v[-1]
                     if lv < low[pv]:
                         low[pv] = lv
-    return np.array(comp, dtype=_I), ncomp
+    return comp, ncomp
 
 
-def idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
+def idom_lt(n, root, ptr, adj):
     """Immediate dominators: Lengauer-Tarjan semidominators, then Semi-NCA.
 
     Semidominators come from the Lengauer-Tarjan pass with path
     compression; each idom is then the nearest common ancestor of the DFS
     parent and the semidominator in the dominator tree built so far
     (Georgiadis, Tarjan and Werneck, "Finding Dominators in Practice").
-    idom[root] == root; idom[v] == -1 for vertices unreachable from root.
+    The predecessors that pass needs are collected by the DFS, which scans
+    every edge out of a reached vertex once.  idom[root] == root; idom[v] ==
+    -1 for vertices unreachable from root.
     """
-    optr = out_indptr.tolist()
-    oadj = out_indices.tolist()
-    pptr = pred_indptr.tolist()
-    padj = pred_indices.tolist()
-
-    # DFS preorder: dfnum[v] is v's number, vertex[i] the i-th vertex and
-    # parent[i] the number of its DFS parent.
+    # DFS preorder: dfnum[v] is v's number, vertex[i] the i-th vertex,
+    # parent[i] the number of its DFS parent and preds[i] the numbers of
+    # its predecessors.
     dfnum = [-1] * n
     dfnum[root] = 0
     vertex = [root]
     parent = [0]
+    preds = [[]]
     cs_v = [root]
-    cs_e = [optr[root]]
+    cs_e = [ptr[root]]
     while cs_v:
         v = cs_v[-1]
         e = cs_e[-1]
-        end = optr[v + 1]
+        end = ptr[v + 1]
+        dv = dfnum[v]
         while e < end:
-            w = oadj[e]
+            w = adj[e]
             e += 1
-            if dfnum[w] < 0:
+            j = dfnum[w]
+            if j < 0:
                 cs_e[-1] = e
                 dfnum[w] = len(vertex)
                 vertex.append(w)
-                parent.append(dfnum[v])
+                parent.append(dv)
+                preds.append([dv])
                 cs_v.append(w)
-                cs_e.append(optr[w])
+                cs_e.append(ptr[w])
                 break
+            preds[j].append(dv)
         else:
             cs_v.pop()
             cs_e.pop()
@@ -192,12 +199,8 @@ def idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
             anc[y] = anc[a]
 
     for i in range(count - 1, 0, -1):
-        w = vertex[i]
         s = i
-        for v in padj[pptr[w]:pptr[w + 1]]:
-            j = dfnum[v]
-            if j < 0:
-                continue
+        for j in preds[i]:
             if j > i:
                 if anc[anc[j]] >= 0:
                     compress(j)
@@ -221,13 +224,11 @@ def idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices):
     idom[root] = root
     for i in range(1, count):
         idom[vertex[i]] = vertex[idom_num[i]]
-    return np.array(idom, dtype=_I)
+    return idom
 
 
-def reach(n, src, indptr, indices):
-    """Vertices reachable from src, as a 0/1 uint8 array."""
-    ptr = indptr.tolist()
-    adj = indices.tolist()
+def reach(n, src, ptr, adj):
+    """Vertices reachable from src, as a list of 0/1."""
     vis = [0] * n
     vis[src] = 1
     q = [src]
@@ -236,45 +237,38 @@ def reach(n, src, indptr, indices):
             if not vis[w]:
                 vis[w] = 1
                 q.append(w)
-    return np.array(vis, dtype=np.uint8)
+    return vis
 
 
-def reach_skip_vertices(n, src, indptr, indices, blocked):
+def reach_skip_vertices(n, src, ptr, adj, blocked):
     """:func:`reach` in the graph without the vertices marked in ``blocked``."""
-    if blocked[src]:
-        return np.zeros(n, dtype=np.uint8)
-    ptr = indptr.tolist()
-    adj = indices.tolist()
-    skip = blocked.tolist()
     vis = [0] * n
+    if blocked[src]:
+        return vis
     vis[src] = 1
     q = [src]
     for v in q:
         for w in adj[ptr[v]:ptr[v + 1]]:
-            if not vis[w] and not skip[w]:
+            if not vis[w] and not blocked[w]:
                 vis[w] = 1
                 q.append(w)
-    return np.array(vis, dtype=np.uint8)
+    return vis
 
 
-def reach_skip_edges(n, src, indptr, indices, eids, blocked_edges):
-    """:func:`reach` without the edges whose ids are marked in ``blocked_edges``."""
-    ptr = indptr.tolist()
-    adj = indices.tolist()
-    eid = eids.tolist()
-    skip = blocked_edges.tolist()
+def reach_skip_edges(n, src, ptr, adj, eids, blocked):
+    """:func:`reach` without the edges whose ids are marked in ``blocked``."""
     vis = [0] * n
     vis[src] = 1
     q = [src]
     for v in q:
         for e in range(ptr[v], ptr[v + 1]):
-            if skip[eid[e]]:
+            if blocked[eids[e]]:
                 continue
             w = adj[e]
             if not vis[w]:
                 vis[w] = 1
                 q.append(w)
-    return np.array(vis, dtype=np.uint8)
+    return vis
 
 
 def residual_tree(nn, s, t, ptr, arcs, head, res):

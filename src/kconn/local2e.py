@@ -177,7 +177,7 @@ def two_escc_sparse(g, epsilon=0.5, validate=False, counters=None, trace=None):
         for (u, v) in zip(us, vs):
             cu = comp_of[u]
             if cu == comp_of[v]:
-                grouped[cu].append((int(u), int(v)))
+                grouped[cu].append((u, v))
         last_j, j_set = j_set, {}
         for ci, comp in enumerate(comps):
             if len(comp) < 2:

@@ -2,8 +2,7 @@
 and bounded max-flow separator and dominator search."""
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import combinations
 
 from . import kernels
 from .errors import GraphError
@@ -21,8 +20,6 @@ __all__ = [
     "pairwise_k_connected_impl",
 ]
 
-_I = np.int64
-
 
 # --- SCCs -------------------------------------------------------------------
 
@@ -34,10 +31,9 @@ def scc_raw(n, verts, us, vs):
     tuples, ordered (and numbered) by smallest member; has_in/has_out mark
     components with incoming/outgoing cross edges.
     """
-    verts = sorted(map(int, verts))
+    verts = sorted(verts)
     indptr, indices = build_csr(n, us, vs)
     labels, _ = kernels.tarjan_scc(n, verts, indptr, indices)
-    labels = labels.tolist()
     # verts is ascending, so the first member seen of each component is its
     # smallest and numbering on first sight orders components by it
     rank = {}
@@ -53,18 +49,13 @@ def scc_raw(n, verts, us, vs):
     comps = [tuple(m) for m in members]
     has_in = [False] * len(comps)
     has_out = [False] * len(comps)
-    for u, v in zip(_ints(us), _ints(vs)):
+    for u, v in zip(us, vs):
         cu = comp_of[u]
         cv = comp_of[v]
         if cu != cv:
             has_in[cv] = True
             has_out[cu] = True
-    return np.array(comp_of, dtype=_I), comps, has_in, has_out
-
-
-def _ints(a):
-    """``a`` as a list of Python ints (numpy arrays are copied with tolist)."""
-    return a.tolist() if isinstance(a, np.ndarray) else a
+    return comp_of, comps, has_in, has_out
 
 
 def top_scc_of(n, verts, us, vs, exclude=()):
@@ -106,7 +97,7 @@ def scc(g):
     us, vs = g.edge_arrays()
     comp_of, comps, has_in, has_out = scc_raw(g.n, range(g.n), us, vs)
     return SccPartition(
-        comp_of={v: int(comp_of[v]) for v in range(g.n)},
+        comp_of=dict(enumerate(comp_of)),
         components=tuple(comps),
         is_top=tuple(not b for b in has_in),
         is_bottom=tuple(not b for b in has_out),
@@ -124,10 +115,9 @@ def top_scc_excluding(g, b):
 
 
 def idoms_raw(n, root, us, vs):
-    """Immediate-dominator array for the flow graph rooted at ``root``."""
-    out_indptr, out_indices = build_csr(n, us, vs)
-    pred_indptr, pred_indices = build_csr(n, vs, us)
-    return kernels.idom_lt(n, root, out_indptr, out_indices, pred_indptr, pred_indices)
+    """Immediate-dominator list for the flow graph rooted at ``root``."""
+    indptr, indices = build_csr(n, us, vs)
+    return kernels.idom_lt(n, root, indptr, indices)
 
 
 def _compact(n, root, us, vs):
@@ -137,20 +127,18 @@ def _compact(n, root, us, vs):
     original id.  Callers search a small subgraph of a large id space, so
     this keeps their kernel calls proportional to the subgraph.
     """
-    us = np.asarray(us, dtype=_I)
-    vs = np.asarray(vs, dtype=_I)
-    used = np.zeros(n, dtype=bool)
-    used[us] = True
-    used[vs] = True
-    used[root] = True
-    local = np.cumsum(used) - 1
-    return np.flatnonzero(used).tolist(), int(local[root]), local[us], local[vs]
+    ids = sorted({root, *us, *vs})
+    if ids[-1] == len(ids) - 1:  # already numbered 0..k-1
+        return ids, root, us, vs
+    local = dict(zip(ids, range(len(ids))))
+    to_local = local.__getitem__
+    return ids, local[root], list(map(to_local, us)), list(map(to_local, vs))
 
 
 def dominator_set_raw(n, root, us, vs):
     """All vertex-dominators of the flow graph, as {dominator: smallest child}."""
     ids, root, us, vs = _compact(n, root, us, vs)
-    idom = idoms_raw(len(ids), root, us, vs).tolist()
+    idom = idoms_raw(len(ids), root, us, vs)
     witness = {}
     for v, p in enumerate(idom):
         if v == root or p < 0 or p == root:
@@ -168,7 +156,7 @@ def _dominator_tree(n, root, us, vs):
     vertex's children in the tree.
     """
     ids, root, us, vs = _compact(n, root, us, vs)
-    idom = idoms_raw(len(ids), root, us, vs).tolist()
+    idom = idoms_raw(len(ids), root, us, vs)
     children = [[] for _ in ids]
     for v, p in enumerate(idom):
         if p >= 0 and v != root:
@@ -220,7 +208,7 @@ def _tree_edge_dominators(tree):
     # and whether some other reachable predecessor escapes v's subtree
     cand = [-1] * n
     ok = [True] * n
-    for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+    for i, (u, v) in enumerate(zip(us, vs)):
         if v == root or idom[u] < 0:
             continue
         if u == idom[v]:
@@ -240,7 +228,7 @@ def _per_scc_edges(g):
     for u, v in zip(us, vs):
         cu = comp_of[u]
         if cu == comp_of[v]:
-            grouped[cu].append((int(u), int(v)))
+            grouped[cu].append((u, v))
     return comps, grouped
 
 
@@ -317,9 +305,7 @@ class FlowNet:
         return a
 
     def freeze(self):
-        indptr, arcs = build_csr(self.n, self._tails, np.arange(len(self.head), dtype=_I))
-        self.ptr = indptr.tolist()
-        self.arcs = arcs.tolist()
+        self.ptr, self.arcs = build_csr(self.n, self._tails, range(len(self.head)))
         self.res = self.cap[:]
         self._trees = {}  # source -> its zero-flow BFS tree, None if queried once
 
@@ -626,32 +612,24 @@ def _cut_off(n, root, csr, members, mode, reach_full):
     """
     indptr, indices, eids = csr
     if mode == "vertex":
-        blocked = np.zeros(n, dtype=np.uint8)
-        blocked[list(members)] = 1
-        vis = kernels.reach_skip_vertices(n, root, indptr, indices, blocked) | blocked
+        blocked = [0] * n
+        for x in members:
+            blocked[x] = 1
+        vis = kernels.reach_skip_vertices(n, root, indptr, indices, blocked)
+        for x in members:
+            vis[x] = 1
     else:
-        blocked = np.zeros(max(len(eids), 1), dtype=np.uint8)
-        blocked[list(members)] = 1
+        blocked = [0] * len(eids)
+        for e in members:
+            blocked[e] = 1
         vis = kernels.reach_skip_edges(n, root, indptr, indices, eids, blocked)
     vis[root] = 1
-    return np.flatnonzero(np.asarray(reach_full, dtype=bool) & (vis == 0)).tolist()
+    return [v for v in range(n) if reach_full[v] and not vis[v]]
 
 
 def _flow_csr(n, edges):
     """(indptr, indices, eids) of a flow graph given as an edge list."""
     return build_csr_with_eids(n, [e[0] for e in edges], [e[1] for e in edges])
-
-
-def dominates_something(n, root, edges, members, mode, reach_full=None):
-    """Is some reachable non-root vertex cut off from root by ``members``?
-
-    Edge mode takes ``members`` as edge indices so parallel edges (which a
-    contracted flow graph may contain) keep their individual identity.
-    """
-    csr = _flow_csr(n, edges)
-    if reach_full is None:
-        reach_full = kernels.reach(n, root, csr[0], csr[1])
-    return bool(_cut_off(n, root, csr, members, mode, reach_full))
 
 
 class DominatorSearch:
@@ -679,7 +657,7 @@ class DominatorSearch:
         if mode == "vertex":
             self.csr = _flow_csr(n, edges)
             self.reach_full = kernels.reach(n, root, self.csr[0], self.csr[1])
-            self.targets = [t for t in np.flatnonzero(self.reach_full).tolist() if t != root]
+            self.targets = [t for t in range(n) if self.reach_full[t] and t != root]
             self.reached = set(self.targets)
         else:
             self.csr = None
@@ -714,7 +692,7 @@ class DominatorSearch:
             if not idxs:
                 return None
             i = min(idxs, key=lambda j: self.edges[j])
-            return [i], [ids[x] for x in _subtree(children, int(vs[i]))]
+            return [i], [ids[x] for x in _subtree(children, vs[i])]
 
         n, root, edges, k, mode = self.n, self.root, self.edges, self.k, self.mode
         net = None
@@ -773,36 +751,43 @@ def pairwise_k_connected_impl(g, u, v, k, mode, enumeration_limit=13, nets=None)
     vertex-disjoint).  Vertex-mode adjacent pairs on small graphs fall back to
     removal enumeration, which follows the definition verbatim; larger graphs
     use flow with edge capacities that make direct edges uncuttable.  A
-    dict passed as ``nets`` keeps the flow network of g for later calls on
-    the same g, k and mode, so that their pairs share one network; every
-    query starts from zero flow.
+    dict passed as ``nets`` keeps the flow network of g, or the forward and
+    reverse CSRs that the enumeration searches, for later calls on the same
+    g, k and mode, so that their pairs share them; every query starts from
+    zero flow.
     """
     if u == v:
         raise GraphError("u and v must differ")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"vertex ({u}, {v}) out of range")
     if mode == "vertex" and g.n <= enumeration_limit and (g.has_edge(u, v) or g.has_edge(v, u)):
-        from itertools import combinations
-
+        (fptr, fadj), (rptr, radj) = _kept(nets, "csr", lambda: _both_csrs(g))
         others = [x for x in range(g.n) if x != u and x != v]
-        us, vs = g.edge_arrays()
-        indptr, indices = build_csr(g.n, us, vs)
-        rindptr, rindices = build_csr(g.n, vs, us)
         for size in range(0, k):
             for drop in combinations(others, size):
-                blocked = np.zeros(g.n, dtype=np.uint8)
+                blocked = [0] * g.n
                 for x in drop:
                     blocked[x] = 1
-                fwd = kernels.reach_skip_vertices(g.n, u, indptr, indices, blocked)
-                if not fwd[v]:
+                if not kernels.reach_skip_vertices(g.n, u, fptr, fadj, blocked)[v]:
                     return False
-                bwd = kernels.reach_skip_vertices(g.n, u, rindptr, rindices, blocked)
-                if not bwd[v]:
+                if not kernels.reach_skip_vertices(g.n, u, rptr, radj, blocked)[v]:
                     return False
         return True
-    net = nets.get("flow") if nets is not None else None
-    if net is None:
-        net = EdgeFlowNet(g.n, g.edge_list) if mode == "edge" else VertexFlowNet(g.n, g.edge_list, k)
-        if nets is not None:
-            nets["flow"] = net
+    net = _kept(nets, "flow", lambda: EdgeFlowNet(g.n, g.edge_list) if mode == "edge"
+                else VertexFlowNet(g.n, g.edge_list, k))
     return net.query(u, v, k)[0] >= k and net.query(v, u, k)[0] >= k
+
+
+def _kept(nets, key, make):
+    """``nets[key]``, made by ``make`` on first use; ``make()`` if nets is None."""
+    if nets is None:
+        return make()
+    if key not in nets:
+        nets[key] = make()
+    return nets[key]
+
+
+def _both_csrs(g):
+    """Forward and reverse CSR of g."""
+    us, vs = g.edge_arrays()
+    return build_csr(g.n, us, vs), build_csr(g.n, vs, us)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kconn
 from kconn import BenchMismatch, GraphError, ParseError, build_graph, kscc
 from kconn.bench import bench_run
 from kconn.cli import main
@@ -171,6 +175,26 @@ class TestCli:
         path = self._write(tmp_path, "g.txt", "3 6\n0 1\n1 0\n0 2\n2 0\n1 2\n2 1\n")
         assert main(["sparse2e", path]) == 0
         assert capsys.readouterr().out == "0 1 2\n"
+
+    def test_solves_run_without_numpy(self, tmp_path):
+        # only gen_random needs numpy: the CLI's import and its solves leave it out
+        path = self._write(tmp_path, "g.txt", "3 6\n0 1\n1 0\n0 2\n2 0\n1 2\n2 1\n")
+        code = (
+            "import contextlib, io, sys\n"
+            "from kconn import cli\n"
+            "for sub in (['kescc', '--k', '3'], ['kvscc', '--k', '2'], ['sparse2e']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(sub + [sys.argv[1]]) == 0\n"
+            "print('numpy' in sys.modules)\n"
+            "from kconn.graphio import gen_random\n"
+            "gen_random(4, 0.5, 0)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(kconn.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code, path], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["False", "True"]
 
     def test_oracle_brute(self, tmp_path, capsys):
         path = self._write(tmp_path, "g.txt", "3 3\n0 1\n1 2\n2 0\n")

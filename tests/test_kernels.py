@@ -12,8 +12,22 @@ from conftest import brute_dominators, brute_sccs, reach_set
 
 def test_build_csr_stable_order():
     indptr, indices = kernels.build_csr(3, [2, 0, 2, 0], [1, 2, 0, 1])
-    assert indptr.tolist() == [0, 2, 2, 4]
-    assert indices.tolist() == [2, 1, 1, 0]  # per-source input order kept
+    assert indptr == [0, 2, 2, 4]
+    assert indices == [2, 1, 1, 0]  # per-source input order kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_csr_matches_a_stable_sort(data):
+    # up to 5 edges per vertex, so both fill strategies of build_csr run;
+    # n = 0, m = 0 and isolated vertices are all drawn
+    n = data.draw(st.integers(0, 10))
+    us = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=5 * n))
+    vs = data.draw(st.lists(st.integers(0, 30), min_size=len(us), max_size=len(us)))
+    order = sorted(range(len(us)), key=us.__getitem__)
+    want_ptr = [sum(u < v for u in us) for v in range(n + 1)]
+    assert kernels.build_csr(n, us, vs) == (want_ptr, [vs[i] for i in order])
+    assert kernels.build_csr_with_eids(n, us, vs) == (want_ptr, [vs[i] for i in order], order)
 
 
 def test_scc_matches_brute_sccs():
@@ -28,7 +42,7 @@ def test_idoms_match_brute_force():
     for seed in range(15):
         g = gen_random(12, 0.3, seed)
         us, vs = g.edge_arrays()
-        idom = idoms_raw(g.n, 0, us, vs).tolist()
+        idom = idoms_raw(g.n, 0, us, vs)
         base = reach_set(g.n, g.edge_list, 0)
         # strict dominators of w: the root plus every vertex whose removal cuts w off
         strict = {
@@ -69,7 +83,7 @@ def _flow_multigraphs(draw):
 @given(_flow_multigraphs())
 def test_idoms_match_removal_oracle(case):
     n, root, edges = case
-    idom = idoms_raw(n, root, [u for u, _ in edges], [v for _, v in edges]).tolist()
+    idom = idoms_raw(n, root, [u for u, _ in edges], [v for _, v in edges])
     base = reach_set(n, edges, root)
     # strict dominators of w: the root plus every vertex whose removal cuts w off
     strict = {root: set()}

@@ -22,7 +22,6 @@ from kconn.primitives import (
     Separator,
     _minimalize,
     _tree_cover,
-    dominates_something,
     dominator_set_raw,
     edge_dominators_raw,
     k_dominator_raw,
@@ -347,6 +346,16 @@ def block_ring(seed, blocks=3, links=2):
     return build_graph(sum(sizes), sorted(edges))
 
 
+def cuts_something_off(n, root, edges, members):
+    """Does removing the edges with indices ``members`` cut a vertex off from root?
+
+    Edges go by index, so parallel copies are removed one at a time.
+    """
+    drop = set(members)
+    kept = [e for i, e in enumerate(edges) if i not in drop]
+    return bool(reach_set(n, edges, root) - reach_set(n, kept, root))
+
+
 def flow_everywhere_dominator(n, root, edges, k):
     """Edge-mode k-dominator with a flow query to every reachable vertex in id order."""
     net = EdgeFlowNet(n, edges)
@@ -356,7 +365,7 @@ def flow_everywhere_dominator(n, root, edges, k):
             continue
         cut = _minimalize(
             net.mincut_edges(root),
-            lambda mem: dominates_something(n, root, edges, mem, "edge"),
+            lambda mem: cuts_something_off(n, root, edges, mem),
         )
         return sorted(cut)
     return None
