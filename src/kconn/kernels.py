@@ -7,7 +7,7 @@ of a decomposition cost no conversions.  A flow network is queried many
 times, so it is kept in list form as well (see ``primitives.FlowNet``).
 """
 
-from itertools import accumulate, chain
+from itertools import accumulate
 
 __all__ = [
     "backend",
@@ -32,18 +32,9 @@ def backend():
 def build_csr(n, us, vs):
     """CSR adjacency (indptr, indices) for edges us[i] -> vs[i].
 
-    Stable within each source vertex, so per-vertex edge order follows the
-    input order of the edge lists.
+    A counting sort on the sources; stable within each source vertex, so
+    per-vertex edge order follows the input order of the edge lists.
     """
-    if len(us) >= 3 * n:
-        # many edges per vertex: one list per source fills fastest; with few,
-        # making those lists costs more than the counting sort saves
-        adj = [[] for _ in range(n)]
-        for u, v in zip(us, vs):
-            adj[u].append(v)
-        indptr = [0]
-        indptr += accumulate(map(len, adj))
-        return indptr, list(chain.from_iterable(adj))
     return _counting_sort(n, us, vs)
 
 
@@ -54,7 +45,11 @@ def build_csr_with_eids(n, us, vs):
 
 
 def _counting_sort(n, us, vs):
-    """:func:`build_csr` by a counting sort on the sources."""
+    """Stable counting sort of vs by us; the body of both CSR builders.
+
+    Kept apart so that ``build_csr_with_eids`` does not call ``build_csr``,
+    which a tracer may count on its own.
+    """
     counts = [0] * n
     for u in us:
         counts[u] += 1

@@ -751,43 +751,34 @@ def pairwise_k_connected_impl(g, u, v, k, mode, enumeration_limit=13, nets=None)
     vertex-disjoint).  Vertex-mode adjacent pairs on small graphs fall back to
     removal enumeration, which follows the definition verbatim; larger graphs
     use flow with edge capacities that make direct edges uncuttable.  A
-    dict passed as ``nets`` keeps the flow network of g, or the forward and
-    reverse CSRs that the enumeration searches, for later calls on the same
-    g, k and mode, so that their pairs share them; every query starts from
-    zero flow.
+    dict passed as ``nets`` keeps the flow network of g for later calls on
+    the same g, k and mode, so that their pairs share one network; every
+    query starts from zero flow.
     """
     if u == v:
         raise GraphError("u and v must differ")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"vertex ({u}, {v}) out of range")
     if mode == "vertex" and g.n <= enumeration_limit and (g.has_edge(u, v) or g.has_edge(v, u)):
-        (fptr, fadj), (rptr, radj) = _kept(nets, "csr", lambda: _both_csrs(g))
         others = [x for x in range(g.n) if x != u and x != v]
+        us, vs = g.edge_arrays()
+        indptr, indices = build_csr(g.n, us, vs)
+        rindptr, rindices = build_csr(g.n, vs, us)
         for size in range(0, k):
             for drop in combinations(others, size):
                 blocked = [0] * g.n
                 for x in drop:
                     blocked[x] = 1
-                if not kernels.reach_skip_vertices(g.n, u, fptr, fadj, blocked)[v]:
+                fwd = kernels.reach_skip_vertices(g.n, u, indptr, indices, blocked)
+                if not fwd[v]:
                     return False
-                if not kernels.reach_skip_vertices(g.n, u, rptr, radj, blocked)[v]:
+                bwd = kernels.reach_skip_vertices(g.n, u, rindptr, rindices, blocked)
+                if not bwd[v]:
                     return False
         return True
-    net = _kept(nets, "flow", lambda: EdgeFlowNet(g.n, g.edge_list) if mode == "edge"
-                else VertexFlowNet(g.n, g.edge_list, k))
+    net = nets.get("flow") if nets is not None else None
+    if net is None:
+        net = EdgeFlowNet(g.n, g.edge_list) if mode == "edge" else VertexFlowNet(g.n, g.edge_list, k)
+        if nets is not None:
+            nets["flow"] = net
     return net.query(u, v, k)[0] >= k and net.query(v, u, k)[0] >= k
-
-
-def _kept(nets, key, make):
-    """``nets[key]``, made by ``make`` on first use; ``make()`` if nets is None."""
-    if nets is None:
-        return make()
-    if key not in nets:
-        nets[key] = make()
-    return nets[key]
-
-
-def _both_csrs(g):
-    """Forward and reverse CSR of g."""
-    us, vs = g.edge_arrays()
-    return build_csr(g.n, us, vs), build_csr(g.n, vs, us)

@@ -19,8 +19,7 @@ def test_build_csr_stable_order():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_build_csr_matches_a_stable_sort(data):
-    # up to 5 edges per vertex, so both fill strategies of build_csr run;
-    # n = 0, m = 0 and isolated vertices are all drawn
+    # n = 0, m = 0, isolated vertices and up to 5 edges per vertex are all drawn
     n = data.draw(st.integers(0, 10))
     us = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=5 * n))
     vs = data.draw(st.lists(st.integers(0, 30), min_size=len(us), max_size=len(us)))
