@@ -1,6 +1,9 @@
 """Graph file parsing and serialization, component emission, and the
 instance generators."""
 
+import json
+from dataclasses import replace
+
 from .errors import GraphError, ParseError
 from .graph import Graph
 
@@ -144,15 +147,7 @@ def emit_components(cs, fmt="text", suppress_degenerate=False):
     if suppress_degenerate and cs.mode == "vertex":
         comps = [c for c in comps if not c.degenerate]
     if fmt == "json":
-        import json
-
-        data = {"mode": cs.mode, "k": cs.k, "components": []}
-        for c in comps:
-            entry = {"vertices": list(c.vertices)}
-            if cs.mode == "vertex":
-                entry["edges"] = [list(e) for e in c.edges]
-                entry["degenerate"] = bool(c.degenerate)
-            data["components"].append(entry)
+        data = replace(cs, components=comps).canonical()
         return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
     if fmt != "text":
         raise GraphError(f"unknown output format {fmt!r}")

@@ -134,9 +134,9 @@ class ComponentSet:
 # --- searches ----------------------------------------------------------------
 
 
-def _top_after_removal(n, verts, edges, z, mode, exclude):
-    """Top SCC disjoint from ``exclude`` once the separator ``z`` is removed:
-    vertices in vertex mode, edges in edge mode."""
+def _top_after_removal(n, verts, edges, z, mode):
+    """Smallest-id top SCC once the separator ``z`` is removed: vertices in
+    vertex mode, edges in edge mode."""
     zset = set(z)
     us, vs = [], []
     if mode == "vertex":
@@ -150,7 +150,7 @@ def _top_after_removal(n, verts, edges, z, mode, exclude):
             if (u, v) not in zset:
                 us.append(u)
                 vs.append(v)
-    return top_scc_of(n, verts, us, vs, exclude=exclude)
+    return top_scc_of(n, verts, us, vs)
 
 
 def _flow_graphs(n, edges, blue, k, mode):
@@ -264,7 +264,7 @@ def _search_side(n, verts, us, vs, blue, k, mode, side, counters):
         if sep is not None:
             z = sorted(list(sep.members) + list(blue))
             counters.level(len(edges))
-            S = _top_after_removal(n, verts, edges, z, "vertex", ())
+            S = _top_after_removal(n, verts, edges, z, "vertex")
             if S is None:
                 raise InvariantViolation("separator special case found but no top SCC")
             return IsolationResult(S, z, side, "blue-superset-special")
@@ -283,7 +283,7 @@ def _whole_search(wk, k, mode, counters):
     if sep is None:
         return None
     counters.whole(len(edges))
-    S = _top_after_removal(wk.n, wk.verts, edges, sep.members, mode, ())
+    S = _top_after_removal(wk.n, wk.verts, edges, sep.members, mode)
     if S is None:
         raise InvariantViolation("separator found but no top SCC after removal")
     return IsolationResult(S, sorted(sep.members), "forward", "whole-graph")

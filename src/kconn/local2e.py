@@ -6,7 +6,7 @@ import math
 from .errors import GraphError, InvariantViolation
 from .graph import WorkGraph, constant_degree_transform, project_components
 from .hierarchy import Component, ComponentSet, Counters, _search_side
-from .primitives import edge_dominators_raw, scc_raw, top_scc_of
+from .primitives import _scc_edges, _sub_bridges, scc_raw, top_scc_of
 from .primitives import k_dominator_raw  # noqa: F401  (perfbench/tests patch this binding)
 
 __all__ = [
@@ -45,21 +45,6 @@ def bounded_reverse_bfs(g, j, d, direction="forward"):
         raise GraphError(f"vertex {j} out of range")
     wk = WorkGraph(g)
     return set(_ball(wk, j, d, direction == "reverse", None))
-
-
-def _sub_bridges(n, verts, edges):
-    """All strong bridges of a strongly connected subgraph."""
-    if len(verts) < 2:
-        return []
-    r = min(verts)
-    us = [e[0] for e in edges]
-    vs = [e[1] for e in edges]
-    out = set()
-    for i in edge_dominators_raw(n, r, us, vs):
-        out.add(edges[i])
-    for i in edge_dominators_raw(n, r, vs, us):
-        out.add(edges[i])
-    return sorted(out)
 
 
 def _local_search(wk, j_list, d, counters):
@@ -169,15 +154,9 @@ def two_escc_sparse(g, epsilon=0.5, validate=False, counters=None, trace=None):
     while True:
         outer += 1
         us, vs = wk.all_edges(counters)
-        comp_of, comps, _, _ = scc_raw(n2, wk.verts, us, vs)
-        cross = [(u, v) for (u, v) in zip(us, vs) if comp_of[u] != comp_of[v]]
+        comps, grouped, cross = _scc_edges(n2, wk.verts, us, vs)
         if cross:
             wk.delete_edges(cross)
-        grouped = [[] for _ in comps]
-        for (u, v) in zip(us, vs):
-            cu = comp_of[u]
-            if cu == comp_of[v]:
-                grouped[cu].append((u, v))
         last_j, j_set = j_set, {}
         for ci, comp in enumerate(comps):
             if len(comp) < 2:

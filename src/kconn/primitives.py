@@ -135,19 +135,6 @@ def _compact(n, root, us, vs):
     return ids, local[root], list(map(to_local, us)), list(map(to_local, vs))
 
 
-def dominator_set_raw(n, root, us, vs):
-    """All vertex-dominators of the flow graph, as {dominator: smallest child}."""
-    ids, root, us, vs = _compact(n, root, us, vs)
-    idom = idoms_raw(len(ids), root, us, vs)
-    witness = {}
-    for v, p in enumerate(idom):
-        if v == root or p < 0 or p == root:
-            continue
-        if ids[p] not in witness:
-            witness[ids[p]] = ids[v]
-    return witness
-
-
 def _dominator_tree(n, root, us, vs):
     """Dominator tree of the flow graph, in the local ids of :func:`_compact`.
 
@@ -162,6 +149,16 @@ def _dominator_tree(n, root, us, vs):
         if p >= 0 and v != root:
             children[p].append(v)
     return ids, root, us, vs, idom, children
+
+
+def dominator_set_raw(n, root, us, vs):
+    """All vertex-dominators of the flow graph, as {dominator: smallest child}.
+
+    A dominator is a vertex other than root with a child in the dominator
+    tree; children are listed in ascending local (so original) ids.
+    """
+    ids, root, _, _, _, children = _dominator_tree(n, root, us, vs)
+    return {ids[p]: ids[c[0]] for p, c in enumerate(children) if c and p != root}
 
 
 def _subtree(children, v):
@@ -221,56 +218,89 @@ def _tree_edge_dominators(tree):
 # --- strong bridges / articulation points ------------------------------------
 
 
-def _per_scc_edges(g):
-    us, vs = g.edge_arrays()
-    comp_of, comps, _, _ = scc_raw(g.n, range(g.n), us, vs)
+def _scc_edges(n, verts, us, vs):
+    """SCCs of the subgraph on ``verts`` with edges us->vs, and their edges.
+
+    Returns (comps, grouped, cross): the components as :func:`scc_raw`
+    orders them, ``grouped[i]`` the (u, v) edges inside ``comps[i]`` and
+    ``cross`` the edges between components, both in input order.
+    """
+    comp_of, comps, _, _ = scc_raw(n, verts, us, vs)
     grouped = [[] for _ in comps]
+    cross = []
     for u, v in zip(us, vs):
         cu = comp_of[u]
         if cu == comp_of[v]:
             grouped[cu].append((u, v))
-    return comps, grouped
+        else:
+            cross.append((u, v))
+    return comps, grouped, cross
+
+
+def _sub_bridges(n, verts, edges):
+    """All strong bridges of a strongly connected subgraph, sorted.
+
+    A strong bridge is an edge-dominator of the flow graph from any root,
+    or of its reverse (Italiano, Laura and Santaroni 2012); the root is
+    the smallest vertex.  :func:`strong_bridges`, the k == 2 edge case of
+    :func:`k_separator_raw` and the outer loop of the local-search 2eSCC
+    algorithm all use this routine.
+    """
+    if len(verts) < 2:
+        return []
+    r = min(verts)
+    us = [e[0] for e in edges]
+    vs = [e[1] for e in edges]
+    out = set()
+    for i in edge_dominators_raw(n, r, us, vs):
+        out.add(edges[i])
+    for i in edge_dominators_raw(n, r, vs, us):
+        out.add(edges[i])
+    return sorted(out)
+
+
+def _articulation_points(n, verts, edges):
+    """All strong articulation points of a strongly connected subgraph, sorted.
+
+    The dominators of the flow graph from the smallest vertex r and of its
+    reverse, plus r itself when the subgraph without r is not strongly
+    connected.
+    """
+    r = min(verts)
+    us = [e[0] for e in edges]
+    vs = [e[1] for e in edges]
+    out = set(dominator_set_raw(n, r, us, vs))
+    out.update(dominator_set_raw(n, r, vs, us))
+    rest = [v for v in verts if v != r]
+    rest_edges = [(a, b) for (a, b) in edges if a != r and b != r]
+    if not is_strongly_connected(n, rest, [e[0] for e in rest_edges], [e[1] for e in rest_edges]):
+        out.add(r)
+    return sorted(out)
 
 
 def strong_articulation_points(g):
     """Vertices whose removal increases the number of SCCs.
 
-    Each SCC is handled independently: dominators of the component's flow
-    graph from an arbitrary root, dominators in the reverse, plus an explicit
-    split test for the root itself.
+    Each SCC of at least 3 vertices is searched on its own by
+    :func:`_articulation_points`.
     """
-    comps, grouped = _per_scc_edges(g)
-    out = set()
+    us, vs = g.edge_arrays()
+    comps, grouped, _ = _scc_edges(g.n, range(g.n), us, vs)
+    out = []
     for comp, edges in zip(comps, grouped):
-        if len(comp) < 3:
-            continue
-        r = comp[0]
-        us = [e[0] for e in edges]
-        vs = [e[1] for e in edges]
-        out.update(dominator_set_raw(g.n, r, us, vs).keys())
-        out.update(dominator_set_raw(g.n, r, vs, us).keys())
-        rest = [v for v in comp if v != r]
-        rest_edges = [(u, v) for (u, v) in edges if u != r and v != r]
-        if not is_strongly_connected(g.n, rest, [e[0] for e in rest_edges], [e[1] for e in rest_edges]):
-            out.add(r)
+        if len(comp) >= 3:
+            out += _articulation_points(g.n, comp, edges)
     return sorted(out)
 
 
 def strong_bridges(g):
-    """Edges whose removal increases the number of SCCs."""
-    comps, grouped = _per_scc_edges(g)
-    out = set()
+    """Edges whose removal increases the number of SCCs (:func:`_sub_bridges`
+    of each SCC)."""
+    us, vs = g.edge_arrays()
+    comps, grouped, _ = _scc_edges(g.n, range(g.n), us, vs)
+    out = []
     for comp, edges in zip(comps, grouped):
-        if len(comp) < 2:
-            continue
-        r = comp[0]
-        us = [e[0] for e in edges]
-        vs = [e[1] for e in edges]
-        for i in edge_dominators_raw(g.n, r, us, vs):
-            out.add(edges[i])
-        for i in edge_dominators_raw(g.n, r, vs, us):
-            u, v = edges[i]
-            out.add((u, v))
+        out += _sub_bridges(g.n, comp, edges)
     return sorted(out)
 
 
@@ -343,7 +373,8 @@ class EdgeFlowNet:
     def query(self, s, t, k):
         return self.net.maxflow(s, t, k)
 
-    def mincut_edges(self, s):
+    def cut(self, s):
+        """Indices of the edges a minimum cut of the last query from s crosses."""
         vis = self.net.residual_visited(s)
         res = self.net.res
         out = []
@@ -372,16 +403,23 @@ class VertexFlowNet:
         self.net.freeze()
 
     def query(self, s, t, k):
-        self._last_s = s
         return self.net.maxflow(2 * s + 1, 2 * t, k)
 
-    def mincut_vertices(self):
-        vis = self.net.residual_visited(2 * self._last_s + 1)
+    def cut(self, s):
+        """Vertices a minimum cut of the last query from s crosses."""
+        vis = self.net.residual_visited(2 * s + 1)
         out = []
         for v in range(self.n):
             if vis[2 * v] and not vis[2 * v + 1]:
                 out.append(v)
         return out
+
+
+def _flow_net(n, edges, k, mode):
+    """The flow network of the graph (n, edges) for queries of size k: unit
+    edges in edge mode; unit vertices and uncuttable (capacity k) edges in
+    vertex mode."""
+    return EdgeFlowNet(n, edges) if mode == "edge" else VertexFlowNet(n, edges, k)
 
 
 @dataclass(frozen=True)
@@ -406,26 +444,20 @@ def bounded_min_separator(g, s, t, k, mode, counters=None):
         raise GraphError("s and t must differ")
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise GraphError(f"vertex ({s}, {t}) out of range")
+    if mode not in ("edge", "vertex"):
+        raise GraphError(f"bad mode {mode!r}")
+    if mode == "vertex" and g.has_edge(s, t):
+        return None
+    net = _flow_net(g.n, g.edge_list, k, mode)
+    value, augs = net.query(s, t, k)
+    if counters is not None:
+        counters.flow(augs)
+    if value >= k:
+        return None
+    cut = net.cut(s)
     if mode == "edge":
-        net = EdgeFlowNet(g.n, g.edge_list)
-        value, augs = net.query(s, t, k)
-        if counters is not None:
-            counters.flow(augs)
-        if value >= k:
-            return None
-        cut = sorted(g.edge_list[i] for i in net.mincut_edges(s))
-        return Separator("edge", tuple(cut), "k-separator")
-    if mode == "vertex":
-        if g.has_edge(s, t):
-            return None
-        net = VertexFlowNet(g.n, g.edge_list, k)
-        value, augs = net.query(s, t, k)
-        if counters is not None:
-            counters.flow(augs)
-        if value >= k:
-            return None
-        return Separator("vertex", tuple(sorted(net.mincut_vertices())), "k-separator")
-    raise GraphError(f"bad mode {mode!r}")
+        cut = [g.edge_list[i] for i in cut]
+    return Separator(mode, tuple(sorted(cut)), "k-separator")
 
 
 # --- greedy arborescence packing ---------------------------------------------
@@ -512,51 +544,34 @@ def increases_scc_count(n, verts, edges, members, mode):
 def k_separator_raw(n, verts, edges, k, mode, counters=None):
     """Some minimal k-separator of a strongly connected (sub)graph, or None.
 
-    k == 2 uses the dominator-based strong bridge / articulation point
-    search.  k > 2 runs bounded max-flow between a small set of anchor
-    vertices (any k anchors suffice: a cut of size < k misses at least one)
-    and every other vertex, in both directions.  Edge mode needs one anchor
-    s and first packs greedy arc-disjoint trees from s in the graph and in
-    its reverse: a pair that k trees reach carries k edge-disjoint paths,
-    so flow runs only on the pairs the packing leaves uncertified.
+    k == 2 takes the smallest strong bridge (:func:`_sub_bridges`) or
+    strong articulation point (:func:`_articulation_points`).  k > 2 runs
+    bounded max-flow between a small set of anchor vertices (any k anchors
+    suffice: a cut of size < k misses at least one) and every other
+    vertex, in both directions.  Edge mode needs one anchor s and first
+    packs greedy arc-disjoint trees from s in the graph and in its reverse:
+    a pair that k trees reach carries k edge-disjoint paths, so flow runs
+    only on the pairs the packing leaves uncertified.
     """
     verts = sorted(verts)
     if len(verts) <= 1:
         return None
-    us = [e[0] for e in edges]
-    vs = [e[1] for e in edges]
     if k == 2:
-        r = verts[0]
-        if mode == "edge":
-            found = [edges[i] for i in edge_dominators_raw(n, r, us, vs)]
-            found += [edges[i] for i in edge_dominators_raw(n, r, vs, us)]
-            if not found:
-                return None
-            return Separator("edge", (min(found),), "k-separator")
-        cands = set(dominator_set_raw(n, r, us, vs))
-        cands.update(dominator_set_raw(n, r, vs, us))
-        rest = [v for v in verts if v != r]
-        rest_e = [(a, b) for (a, b) in edges if a != r and b != r]
-        if len(rest) >= 2 and not is_strongly_connected(
-            n, rest, [e[0] for e in rest_e], [e[1] for e in rest_e]
-        ):
-            cands.add(r)
-        if not cands:
-            return None
-        return Separator("vertex", (min(cands),), "k-separator")
+        find = _sub_bridges if mode == "edge" else _articulation_points
+        found = find(n, verts, edges)
+        return Separator(mode, (found[0],), "k-separator") if found else None
 
     net = None
     for a, b in _separator_queries(n, verts, edges, k, mode):
         if net is None:
-            net = EdgeFlowNet(n, edges) if mode == "edge" else VertexFlowNet(n, edges, k)
+            net = _flow_net(n, edges, k, mode)
         value, augs = net.query(a, b, k)
         if counters is not None:
             counters.flow(augs)
         if value < k:
+            cut = net.cut(a)
             if mode == "edge":
-                cut = [edges[i] for i in net.mincut_edges(a)]
-            else:
-                cut = net.mincut_vertices()
+                cut = [edges[i] for i in cut]
             cut = _minimalize(
                 cut,
                 lambda mem: increases_scc_count(n, verts, edges, mem, mode),
@@ -698,16 +713,13 @@ class DominatorSearch:
         net = None
         for t in self.targets:
             if net is None:
-                net = VertexFlowNet(n, edges, k) if mode == "vertex" else EdgeFlowNet(n, edges)
+                net = _flow_net(n, edges, k, mode)
             value, augs = net.query(root, t, k)
             if counters is not None:
                 counters.flow(augs)
             if value >= k:
                 continue
-            if mode == "vertex":
-                cut = net.mincut_vertices()
-            else:
-                cut = net.mincut_edges(root)
+            cut = net.cut(root)
             if self.csr is None:
                 self.csr = _flow_csr(n, edges)
             kept = [None]  # what the last subset that _minimalize kept cuts off
@@ -744,7 +756,12 @@ def k_dominator_raw(n, root, edges, k, mode, counters=None):
 # --- pairwise k-connectivity (Menger queries) -----------------------------------
 
 
-def pairwise_k_connected_impl(g, u, v, k, mode, enumeration_limit=13, nets=None):
+# vertex-mode adjacent pairs on graphs of at most this many vertices are
+# decided by removal enumeration
+_ENUMERATION_LIMIT = 13
+
+
+def pairwise_k_connected_impl(g, u, v, k, mode, nets=None):
     """Are u and v k-connected in g?
 
     Both directions must carry k disjoint paths (edge-disjoint, or internally
@@ -759,7 +776,7 @@ def pairwise_k_connected_impl(g, u, v, k, mode, enumeration_limit=13, nets=None)
         raise GraphError("u and v must differ")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"vertex ({u}, {v}) out of range")
-    if mode == "vertex" and g.n <= enumeration_limit and (g.has_edge(u, v) or g.has_edge(v, u)):
+    if mode == "vertex" and g.n <= _ENUMERATION_LIMIT and (g.has_edge(u, v) or g.has_edge(v, u)):
         others = [x for x in range(g.n) if x != u and x != v]
         us, vs = g.edge_arrays()
         indptr, indices = build_csr(g.n, us, vs)
@@ -778,7 +795,7 @@ def pairwise_k_connected_impl(g, u, v, k, mode, enumeration_limit=13, nets=None)
         return True
     net = nets.get("flow") if nets is not None else None
     if net is None:
-        net = EdgeFlowNet(g.n, g.edge_list) if mode == "edge" else VertexFlowNet(g.n, g.edge_list, k)
+        net = _flow_net(g.n, g.edge_list, k, mode)
         if nets is not None:
             nets["flow"] = net
     return net.query(u, v, k)[0] >= k and net.query(v, u, k)[0] >= k

@@ -94,6 +94,23 @@ class TestEmit:
         full = emit_components(cs)
         slim = emit_components(cs, suppress_degenerate=True)
         assert full and not slim
+        assert emit_components(cs, "json") == (
+            '{"components":[{"degenerate":true,"edges":[[0,1],[1,0]],"vertices":[0,1]},'
+            '{"degenerate":true,"edges":[[1,2],[2,1]],"vertices":[1,2]}],"k":2,"mode":"vertex"}\n'
+        )
+        assert emit_components(cs, "json", suppress_degenerate=True) == (
+            '{"components":[],"k":2,"mode":"vertex"}\n'
+        )
+        # a bowtie with a pendant 2-cycle: only the degenerate component goes
+        g = build_graph(6, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (2, 3), (3, 2),
+                            (2, 4), (4, 2), (3, 4), (4, 3), (4, 5), (5, 4)])
+        cs = kscc(g, 2, "vertex")
+        assert json.loads(emit_components(cs, "json"))["components"][2]["degenerate"]
+        assert emit_components(cs, "json", suppress_degenerate=True) == (
+            '{"components":[{"degenerate":false,"edges":[[0,1],[0,2],[1,0],[1,2],[2,0],[2,1]],'
+            '"vertices":[0,1,2]},{"degenerate":false,"edges":[[2,3],[2,4],[3,2],[3,4],[4,2],'
+            '[4,3]],"vertices":[2,3,4]}],"k":2,"mode":"vertex"}\n'
+        )
 
     @given(st.integers(0, 2_000))
     @settings(max_examples=20, deadline=None)

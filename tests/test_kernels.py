@@ -158,8 +158,8 @@ def test_reused_flow_nets_match_fresh_nets(case):
         fresh = EdgeFlowNet(n, edges)
         value, augs = edge_net.query(s, t, k)
         assert (value, augs) == fresh.query(s, t, k)
-        cut = edge_net.mincut_edges(s)
-        assert cut == fresh.mincut_edges(s)
+        cut = edge_net.cut(s)
+        assert cut == fresh.cut(s)
         if value < k:
             assert len(cut) == value
             assert t not in reach_set(n, edges, s, drop_e=[edges[i] for i in cut])
@@ -167,8 +167,8 @@ def test_reused_flow_nets_match_fresh_nets(case):
         fresh = VertexFlowNet(n, edges, cap)
         value, augs = vertex_net.query(s, t, k)
         assert (value, augs) == fresh.query(s, t, k)
-        cut = vertex_net.mincut_vertices()
-        assert cut == fresh.mincut_vertices()
+        cut = vertex_net.cut(s)
+        assert cut == fresh.cut(s)
         if value < k:
             assert len(cut) == value and s not in cut and t not in cut
             assert t not in reach_set(n, edges, s, drop_v=cut)

@@ -203,13 +203,15 @@ class TestBoundedMinSeparator:
         assert bounded_min_separator(c3, 0, 1, 2, "vertex") is None
 
     def test_menger_consistency(self):
-        # separator exists iff some removal of < k elements cuts s from t
+        # separator exists iff some removal of < k elements cuts s from t;
+        # vertex mode removes vertices other than s and t, on non-adjacent pairs
         for seed in range(25):
             g = gen_random(6, 0.35, seed)
             for s in range(g.n):
                 for t in range(g.n):
                     if s == t:
                         continue
+                    others = [x for x in range(g.n) if x not in (s, t)]
                     for k in (2, 3):
                         sep = bounded_min_separator(g, s, t, k, "edge")
                         cuttable = any(
@@ -221,6 +223,20 @@ class TestBoundedMinSeparator:
                         if sep is not None:
                             assert t not in reach_set(
                                 g.n, g.edge_list, s, drop_e=sep.members
+                            )
+                        if g.has_edge(s, t):
+                            continue
+                        sep = bounded_min_separator(g, s, t, k, "vertex")
+                        cuttable = any(
+                            t not in reach_set(g.n, g.edge_list, s, drop_v=drop)
+                            for size in range(k)
+                            for drop in itertools.combinations(others, size)
+                        )
+                        assert (sep is not None) == cuttable
+                        if sep is not None:
+                            assert s not in sep.members and t not in sep.members
+                            assert t not in reach_set(
+                                g.n, g.edge_list, s, drop_v=sep.members
                             )
 
     def test_minimality(self):
@@ -251,6 +267,31 @@ class TestKSeparator:
     def test_not_strongly_connected_rejected(self):
         with pytest.raises(GraphError):
             k_separator(path3(), 2, "edge")
+
+    def test_k2_is_smallest_removal_that_splits(self):
+        # random strongly connected graphs: a Hamiltonian cycle plus chords
+        rng = random.Random(15)
+        found = none = 0
+        for _ in range(150):
+            n = rng.randint(2, 9)
+            order = rng.sample(range(n), n)
+            edges = {(order[i], order[(i + 1) % n]) for i in range(n)} if n > 1 else set()
+            p = rng.choice([0.0, 0.1, 0.25, 0.5])
+            edges |= {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
+            g = build_graph(n, sorted(edges))
+            base = brute_scc_count(g)
+            for mode in ("edge", "vertex"):
+                pool = g.edge_list if mode == "edge" else range(n)
+                drop = "drop_e" if mode == "edge" else "drop_v"
+                want = min((x for x in pool if brute_scc_count(g, **{drop: x}) > base),
+                           default=None)
+                sep = k_separator(g, 2, mode)
+                assert (sep is None) == (want is None)
+                if sep is not None:
+                    assert sep.members == (want,)
+                found += want is not None
+                none += want is None
+        assert found and none
 
     def test_increases_scc_count_random(self):
         for seed in range(30):
@@ -296,18 +337,18 @@ class TestKDominator:
     def test_bitri_none(self, bitri):
         assert k_dominator_raw(3, 0, bitri.edge_list, 2, "vertex") is None
 
-    def test_k2_agrees_with_dominator_set_raw(self):
+    def test_k2_agrees_with_removal_oracle(self):
         for seed in range(40):
             g = gen_random(9, 0.3, seed)
             z = k_dominator_raw(g.n, 0, g.edge_list, 2, "vertex")
-            doms = dominators(g, 0)
-            assert z == ([min(doms)[0]] if doms else None)
+            doms = brute_dominators(g.n, g.edge_list, 0)
+            assert z == ([min(doms)] if doms else None)
 
-    def test_k2_edge_agrees_with_edge_dominator(self):
+    def test_k2_edge_agrees_with_removal_oracle(self):
         for seed in range(40):
             g = gen_random(9, 0.3, seed)
             z = k_dominator_raw(g.n, 0, g.edge_list, 2, "edge")
-            ed = edge_dominators(g, 0)
+            ed = brute_edge_dominators(g.n, g.edge_list, 0)
             assert (z is None) == (not ed)
             if z is not None:
                 assert [g.edge_list[i] for i in z] == [min(ed)]
@@ -364,7 +405,7 @@ def flow_everywhere_dominator(n, root, edges, k):
         if t == root or t not in reach or net.query(root, t, k)[0] >= k:
             continue
         cut = _minimalize(
-            net.mincut_edges(root),
+            net.cut(root),
             lambda mem: cuts_something_off(n, root, edges, mem),
         )
         return sorted(cut)
@@ -381,7 +422,7 @@ def flow_everywhere_separator(n, verts, edges, k):
             if net.query(a, b, k)[0] >= k:
                 continue
             cut = _minimalize(
-                [edges[i] for i in net.mincut_edges(a)],
+                [edges[i] for i in net.cut(a)],
                 lambda mem: increases_scc_count(n, verts, edges, mem, "edge"),
             )
             return Separator("edge", tuple(sorted(cut)), "k-separator")
