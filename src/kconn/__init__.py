@@ -24,12 +24,13 @@ from .hierarchy import (
     kscc,
 )
 from .local2e import bounded_reverse_bfs, two_escc_sparse, two_isolated_set_local
-from .oracle import brute_force_kscc, naive_kscc, pairwise_k_connected
+from .oracle import brute_force_kscc, naive_kscc
 from .primitives import (
     Separator,
     SccPartition,
     bounded_min_separator,
     k_separator,
+    pairwise_k_connected_impl as pairwise_k_connected,
     scc,
     strong_articulation_points,
     strong_bridges,

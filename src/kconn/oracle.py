@@ -1,5 +1,14 @@
-"""Slow-but-obviously-correct baselines: the whole-graph-search-only
-decomposition, exhaustive subset enumeration, and pairwise Menger queries."""
+"""Baselines for cross-checking kscc inside the package: the whole-graph
+search loop (``naive_kscc``) and exhaustive subset enumeration
+(``brute_force_kscc``).
+
+Both share code with kscc: ``naive_kscc`` is the same driver without the
+level search, and ``brute_force_kscc`` decides each pair with the flow query
+that validates kscc's splits.  The oracles that share no code with kconn
+are tests-only (``tests/oracles.py``): networkx's ``k_edge_subgraphs`` for
+edge mode and a recursive split on a Menger flow of their own for vertex
+mode.
+"""
 
 from itertools import combinations
 
@@ -8,12 +17,7 @@ from .graph import induced_subgraph
 from .hierarchy import Component, ComponentSet, decompose
 from .primitives import pairwise_k_connected_impl
 
-__all__ = ["naive_kscc", "brute_force_kscc", "pairwise_k_connected"]
-
-
-def pairwise_k_connected(g, u, v, k, mode):
-    """True iff u and v are k-connected in g (both directions, Menger)."""
-    return pairwise_k_connected_impl(g, u, v, k, mode)
+__all__ = ["naive_kscc", "brute_force_kscc"]
 
 
 def naive_kscc(g, k, mode, validate=True, counters=None, trace=None):

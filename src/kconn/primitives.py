@@ -2,7 +2,6 @@
 and bounded max-flow separator and dominator search."""
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import kernels
 from .errors import GraphError
@@ -554,7 +553,9 @@ def k_separator_raw(n, verts, edges, k, mode, counters=None):
     only on the pairs the packing leaves uncertified.
     """
     verts = sorted(verts)
-    if len(verts) <= 1:
+    # removing one vertex of a strongly connected pair leaves one vertex, so
+    # a vertex separator needs at least 3
+    if len(verts) < (3 if mode == "vertex" else 2):
         return None
     if k == 2:
         find = _sub_bridges if mode == "edge" else _articulation_points
@@ -756,43 +757,20 @@ def k_dominator_raw(n, root, edges, k, mode, counters=None):
 # --- pairwise k-connectivity (Menger queries) -----------------------------------
 
 
-# vertex-mode adjacent pairs on graphs of at most this many vertices are
-# decided by removal enumeration
-_ENUMERATION_LIMIT = 13
-
-
 def pairwise_k_connected_impl(g, u, v, k, mode, nets=None):
     """Are u and v k-connected in g?
 
     Both directions must carry k disjoint paths (edge-disjoint, or internally
-    vertex-disjoint).  Vertex-mode adjacent pairs on small graphs fall back to
-    removal enumeration, which follows the definition verbatim; larger graphs
-    use flow with edge capacities that make direct edges uncuttable.  A
-    dict passed as ``nets`` keeps the flow network of g for later calls on
-    the same g, k and mode, so that their pairs share one network; every
-    query starts from zero flow.
+    vertex-disjoint), each one bounded max-flow query on the network of
+    :func:`_flow_net`; in vertex mode its edge capacities make a direct edge
+    uncuttable.  A dict passed as ``nets`` keeps the flow network of g for
+    later calls on the same g, k and mode, so that their pairs share one
+    network; every query starts from zero flow.
     """
     if u == v:
         raise GraphError("u and v must differ")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"vertex ({u}, {v}) out of range")
-    if mode == "vertex" and g.n <= _ENUMERATION_LIMIT and (g.has_edge(u, v) or g.has_edge(v, u)):
-        others = [x for x in range(g.n) if x != u and x != v]
-        us, vs = g.edge_arrays()
-        indptr, indices = build_csr(g.n, us, vs)
-        rindptr, rindices = build_csr(g.n, vs, us)
-        for size in range(0, k):
-            for drop in combinations(others, size):
-                blocked = [0] * g.n
-                for x in drop:
-                    blocked[x] = 1
-                fwd = kernels.reach_skip_vertices(g.n, u, indptr, indices, blocked)
-                if not fwd[v]:
-                    return False
-                bwd = kernels.reach_skip_vertices(g.n, u, rindptr, rindices, blocked)
-                if not bwd[v]:
-                    return False
-        return True
     net = nets.get("flow") if nets is not None else None
     if net is None:
         net = _flow_net(g.n, g.edge_list, k, mode)

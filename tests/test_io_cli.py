@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kconn
-from kconn import BenchMismatch, GraphError, ParseError, build_graph, kscc
+from kconn import BenchMismatch, GraphError, ParseError, build_graph, kscc, pairwise_k_connected
 from kconn.bench import bench_run
 from kconn.cli import main
 from kconn.graphio import (
@@ -19,7 +19,6 @@ from kconn.graphio import (
     parse_graph_text,
     write_edgelist,
 )
-from kconn.oracle import pairwise_k_connected
 from kconn.primitives import strong_articulation_points
 
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from kconn import (
@@ -9,6 +12,8 @@ from kconn import (
     pairwise_k_connected,
 )
 from kconn.graphio import gen_random
+
+from oracles import edge_kscc_sets, vertex_kscc_sets
 
 
 class TestPairwise:
@@ -88,3 +93,34 @@ class TestNaive:
             g = gen_random(7, 0.5, seed)
             for mode in ("edge", "vertex"):
                 assert brute_force_kscc(g, 3, mode) == naive_kscc(g, 3, mode)
+
+
+class TestIndependentOracles:
+    # what tests/oracles.py may take from kconn: graph construction and the
+    # generators, nothing that decides connectivity
+    ALLOWED = {
+        "kconn": {"Graph", "build_graph"},
+        "kconn.graph": {"Graph", "build_graph"},
+        "kconn.graphio": {"gen_random", "gen_adversarial_chain", "gen_blocks_vs_components"},
+    }
+
+    def test_imports_nothing_else_from_kconn(self):
+        tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+                assert not any(m == "kconn" or m.startswith("kconn.") for m in names), names
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import"
+                mod = node.module or ""
+                if mod == "kconn" or mod.startswith("kconn."):
+                    for a in node.names:
+                        assert a.name in self.ALLOWED.get(mod, set()), f"{mod}.{a.name}"
+
+    def test_match_brute_force(self):
+        for seed in range(20):
+            g = gen_random(7, 0.45, 300 + seed)
+            for k in (2, 3):
+                for mode, oracle in (("edge", edge_kscc_sets), ("vertex", vertex_kscc_sets)):
+                    want = [c.vertices for c in brute_force_kscc(g, k, mode).components]
+                    assert oracle(g.n, g.edge_list, k) == want, (seed, k, mode)

@@ -511,22 +511,28 @@ class TestPairwiseKConnected:
 
     def test_matches_removal_definition_vertex(self):
         # definition: strongly connected and still so after removing any < k
-        # vertices other than the pair
-        for seed in range(20):
-            g = gen_random(6, 0.4, seed)
-            for u in range(g.n):
-                for v in range(u + 1, g.n):
-                    for k in (2, 3):
-                        want = all(
-                            v in reach_set(g.n, g.edge_list, u, drop_v=drop)
-                            and u in reach_set(g.n, g.edge_list, v, drop_v=drop)
-                            for size in range(k)
-                            for drop in itertools.combinations(
-                                [x for x in range(g.n) if x not in (u, v)], size
-                            )
-                        )
-                        got = pairwise_k_connected_impl(g, u, v, k, "vertex")
-                        assert got == want
+        # vertices other than the pair; n up to 13 and p up to 0.7 put many
+        # adjacent pairs in range, whose direct edges no removal cuts
+        rng = random.Random(0x3E1)
+        graphs = [gen_random(6, 0.4, seed) for seed in range(20)]
+        graphs += [gen_random(n, rng.choice([0.3, 0.4, 0.55, 0.7]), 1000 * n + seed)
+                   for n in range(7, 14) for seed in range(4)]
+        for g in graphs:
+            n = g.n
+            for k in (2, 3, 4):
+                # ordered pairs (u, v) that some removal of < k others separates
+                apart = set()
+                for size in range(k):
+                    for drop in itertools.combinations(range(n), size):
+                        for u in range(n):
+                            if u not in drop:
+                                seen = reach_set(n, g.edge_list, u, drop_v=drop)
+                                apart.update((u, v) for v in range(n)
+                                             if v not in seen and v not in drop)
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        want = (u, v) not in apart and (v, u) not in apart
+                        assert pairwise_k_connected_impl(g, u, v, k, "vertex") == want
 
     def test_shared_net_matches_fresh_nets(self):
         # one network answers every pair of a graph, in any order, as a
