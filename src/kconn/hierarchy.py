@@ -11,9 +11,11 @@ from .errors import GraphError, InvariantViolation
 from .graph import WorkGraph, degree_gamma
 from .primitives import (
     DominatorSearch,
+    edges_within,
     is_strongly_connected,
     k_separator_raw,
     pairwise_k_connected_impl,
+    subgraph_without,
     top_scc_of,
 )
 from .primitives import k_dominator_raw  # noqa: F401  (perfbench/tests patch this binding)
@@ -122,9 +124,6 @@ class ComponentSet:
         payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def vertex_sets(self):
-        return [set(c.vertices) for c in self.components]
-
     def __eq__(self, other):
         if not isinstance(other, ComponentSet):
             return NotImplemented
@@ -134,31 +133,12 @@ class ComponentSet:
 # --- searches ----------------------------------------------------------------
 
 
-def _top_after_removal(n, verts, edges, z, mode):
-    """Smallest-id top SCC once the separator ``z`` is removed: vertices in
-    vertex mode, edges in edge mode."""
-    zset = set(z)
-    us, vs = [], []
-    if mode == "vertex":
-        verts = [v for v in verts if v not in zset]
-        for (u, v) in edges:
-            if u not in zset and v not in zset:
-                us.append(u)
-                vs.append(v)
-    else:
-        for (u, v) in edges:
-            if (u, v) not in zset:
-                us.append(u)
-                vs.append(v)
-    return top_scc_of(n, verts, us, vs)
-
-
-def _flow_graphs(n, edges, blue, k, mode):
-    """Flow graphs rooted at the blue set, as (nodes, root, edges, origin).
+def _flow_graphs(n, us, vs, blue, k, mode):
+    """Flow graphs rooted at the blue set, as (nodes, root, us, vs, origin).
 
     Edge mode: one graph with the blue set contracted to a new root n; edges
     between two blue vertices are dropped, parallel edges kept, and
-    ``origin[j]`` is the index in ``edges`` of flow edge j.  Vertex mode with
+    ``origin[j]`` is the index in us/vs of flow edge j.  Vertex mode with
     |blue| >= k: one graph with a new root n wired to every blue vertex.
     Vertex mode with |blue| < k: one graph per blue vertex w, rooted at w,
     with edges from w to the other blue vertices.  Vertex-mode graphs keep
@@ -166,28 +146,28 @@ def _flow_graphs(n, edges, blue, k, mode):
     """
     if mode == "edge":
         blue_set = set(blue)
-        fedges = []
-        origin = []
-        for idx, (u, v) in enumerate(edges):
+        fus, fvs, origin = [], [], []
+        for idx, (u, v) in enumerate(zip(us, vs)):
             bu = u in blue_set
             bv = v in blue_set
             if bu and bv:
                 continue
-            fedges.append((n if bu else u, n if bv else v))
+            fus.append(n if bu else u)
+            fvs.append(n if bv else v)
             origin.append(idx)
-        return [(n + 1, n, fedges, origin)]
+        return [(n + 1, n, fus, fvs, origin)]
     if len(blue) >= k:
-        return [(n + 1, n, edges + [(n, b) for b in blue], None)]
-    return [(n, w, edges + [(w, b) for b in blue if b != w], None) for w in blue]
+        return [(n + 1, n, us + [n] * len(blue), vs + list(blue), None)]
+    return [(n, w, us + [w] * (len(blue) - 1), vs + [b for b in blue if b != w], None)
+            for w in blue]
 
 
-def _top_scc_within(n, part, edges, counters):
+def _top_scc_within(n, part, us, vs, counters):
     """Smallest-id top SCC of the subgraph that ``part`` induces; the edges
     read are charged to ``counters.level``."""
-    inside = set(part)
-    sub = [(u, v) for (u, v) in edges if v in inside and u in inside]
-    counters.level(len(sub))
-    return top_scc_of(n, part, [u for u, _ in sub], [v for _, v in sub])
+    sus, svs = edges_within(us, vs, part)
+    counters.level(len(sus))
+    return top_scc_of(n, part, sus, svs)
 
 
 def _search_side(n, verts, us, vs, blue, k, mode, side, counters):
@@ -214,33 +194,32 @@ def _search_side(n, verts, us, vs, blue, k, mode, side, counters):
     """
     counters = counters if counters is not None else Counters()
     counters.level(len(us))
-    edges = list(zip(us, vs))
     if not blue:
         # no root: nothing is reached
         if verts:
-            return IsolationResult(_top_scc_within(n, verts, edges, counters), [], side, "tscc")
+            return IsolationResult(_top_scc_within(n, verts, us, vs, counters), [], side, "tscc")
         return None
     blue_set = set(blue)
-    for idx, (nodes, root, fedges, origin) in enumerate(_flow_graphs(n, edges, blue, k, mode)):
-        counters.level(2 * len(fedges))
-        search = DominatorSearch(nodes, root, fedges, k, mode)
+    for idx, (nodes, root, fus, fvs, origin) in enumerate(_flow_graphs(n, us, vs, blue, k, mode)):
+        counters.level(2 * len(fus))
+        search = DominatorSearch(nodes, root, fus, fvs, k, mode)
         if idx == 0:
             # every flow graph's root reaches what the blue set reaches; the
             # edge-mode root stands for the blue set, so list it apart
             reached = search.reached
             unreached = [v for v in verts if v not in reached and v not in blue_set]
             if unreached:
-                S = _top_scc_within(n, unreached, edges, counters)
+                S = _top_scc_within(n, unreached, us, vs, counters)
                 return IsolationResult(S, [], side, "tscc")
         found = search.find(counters)
         if found is None:
             continue
         z, cut = found
         if mode == "edge":
-            z = [edges[origin[j]] for j in z]
-            if side == "reverse":
-                z = [(b, a) for (a, b) in z]
-        S = _top_scc_within(n, cut, edges, counters)
+            # a reverse-side edge us[j] -> vs[j] is the graph's vs[j] -> us[j]
+            tails, heads = (vs, us) if side == "reverse" else (us, vs)
+            z = [(tails[origin[j]], heads[origin[j]]) for j in z]
+        S = _top_scc_within(n, cut, us, vs, counters)
         if S is None:
             raise InvariantViolation(f"{mode} dominator found but cuts nothing off")
         return IsolationResult(S, sorted(z), side, "dominator")
@@ -250,21 +229,21 @@ def _search_side(n, verts, us, vs, blue, k, mode, side, counters):
     # vertex mode, 0 < |blue| < k, no dominator: the separators containing
     # the whole blue set
     verts2 = [v for v in verts if v not in blue_set]
-    edges2 = [(u, v) for (u, v) in edges if u not in blue_set and v not in blue_set]
     if not verts2:
         return None
-    counters.level(len(edges2))
-    S = top_scc_of(n, verts2, [e[0] for e in edges2], [e[1] for e in edges2])
+    us2, vs2 = edges_within(us, vs, verts2)
+    counters.level(len(us2))
+    S = top_scc_of(n, verts2, us2, vs2)
     if S is not None and len(S) < len(verts2):
         return IsolationResult(S, sorted(blue), side, "blue-singleton-special")
     if len(blue) < k - 1:
         # level graph minus blue is strongly connected here (its only top SCC
         # was everything); look for a separator that extends the blue set
-        sep = k_separator_raw(n, verts2, edges2, k - len(blue), "vertex", counters)
+        sep = k_separator_raw(n, verts2, us2, vs2, k - len(blue), "vertex", counters)
         if sep is not None:
             z = sorted(list(sep.members) + list(blue))
-            counters.level(len(edges))
-            S = _top_after_removal(n, verts, edges, z, "vertex")
+            counters.level(len(us))
+            S = top_scc_of(n, *subgraph_without(verts, us, vs, z, "vertex"))
             if S is None:
                 raise InvariantViolation("separator special case found but no top SCC")
             return IsolationResult(S, z, side, "blue-superset-special")
@@ -278,12 +257,11 @@ def _whole_search(wk, k, mode, counters):
     S = top_scc_of(wk.n, wk.verts, us, vs)
     if S is not None and len(S) < wk.n_alive:
         return IsolationResult(S, [], "forward", "whole-graph")
-    edges = list(zip(us, vs))
-    sep = k_separator_raw(wk.n, wk.verts, edges, k, mode, counters)
+    sep = k_separator_raw(wk.n, wk.verts, us, vs, k, mode, counters)
     if sep is None:
         return None
-    counters.whole(len(edges))
-    S = _top_after_removal(wk.n, wk.verts, edges, sep.members, mode)
+    counters.whole(len(us))
+    S = top_scc_of(wk.n, *subgraph_without(wk.verts, us, vs, sep.members, mode))
     if S is None:
         raise InvariantViolation("separator found but no top SCC after removal")
     return IsolationResult(S, sorted(sep.members), "forward", "whole-graph")
@@ -344,13 +322,15 @@ def _find_isolated(wk, k, mode, use_levels, counters, trace, validate):
 # --- isolation validation ------------------------------------------------------
 
 
-def check_isolation_core(n, verts, edges, s, z, side, k, mode):
-    """Does (s, z) satisfy the top/bottom (k-almost) SCC definition here?
+def check_isolation_core(n, verts, us, vs, s, z, side, k, mode):
+    """Does (s, z) satisfy the top/bottom (k-almost) SCC definition in the
+    graph on ``verts`` with edges us->vs?
 
     Checks, in the orientation given by ``side``: the complement of s (and z,
     vertex mode) is non-empty; s induces a strongly connected subgraph; every
     incoming edge of s comes from z; and every element of z actually borders
-    s (the minimality clause of the almost-SCC definition).
+    s (the minimality clause of the almost-SCC definition).  Edge-mode z
+    holds (u, v) pairs in the original orientation.
     """
     s_set = set(s)
     if not s_set:
@@ -368,19 +348,15 @@ def check_isolation_core(n, verts, edges, s, z, side, k, mode):
             return False
         if len(z) >= k:
             return False
-    inner = [(u, v) for (u, v) in edges if u in s_set and v in s_set]
-    if not is_strongly_connected(n, sorted(s_set), [e[0] for e in inner], [e[1] for e in inner]):
+    if not is_strongly_connected(n, sorted(s_set), *edges_within(us, vs, s_set)):
         return False
-    if side == "forward":
-        cross = [(u, v) for (u, v) in edges if v in s_set and u not in s_set]
-    else:
-        cross = [(v, u) for (u, v) in edges if u in s_set and v not in s_set]
+    # the edges entering s in the searched orientation
+    tails, heads = (vs, us) if side == "reverse" else (us, vs)
+    entering = [i for i, (a, b) in enumerate(zip(tails, heads))
+                if b in s_set and a not in s_set]
     if mode == "edge":
-        zo = set((b, a) for (a, b) in z) if side == "reverse" else set(z)
-        return set(cross) == zo
-    z_set = set(z)
-    sources = set(u for (u, v) in cross)
-    return sources == z_set
+        return {(us[i], vs[i]) for i in entering} == set(z)
+    return {tails[i] for i in entering} == set(z)
 
 
 def check_isolation(g, res, k, mode):
@@ -388,23 +364,31 @@ def check_isolation(g, res, k, mode):
     if res.is_empty:
         raise GraphError("check_isolation requires a non-empty result")
     return check_isolation_core(
-        g.n, range(g.n), g.edge_list, res.s, res.z, res.side, k, mode
+        g.n, range(g.n), *g.edge_arrays(), res.s, res.z, res.side, k, mode
     )
 
 
 def _edges_at(wk, s):
-    """Alive edges of the working graph with an endpoint in s, unpurged.
+    """Alive edges of the working graph with an endpoint in s, unpurged, as
+    (us, vs) lists.
 
     Every edge entering a vertex of s (those from s included), then every
     edge from s to the rest.
     """
     s_set = set(s)
-    edges = [(u, v) for v in s for u in wk.live_in(v)]
-    edges += [(v, w) for v in s for w in wk.live_out(v) if w not in s_set]
-    return edges
+    us, vs = [], []
+    for v in s:
+        preds = wk.live_in(v)
+        us += preds
+        vs += [v] * len(preds)
+    for v in s:
+        succs = [w for w in wk.live_out(v) if w not in s_set]
+        us += [v] * len(succs)
+        vs += succs
+    return us, vs
 
 
-def _validate_split(wk, res, k, mode, rng, counters):
+def _validate_split(wk, res, k, mode, rng):
     """Check a split against the working graph it was found in.
 
     Reads the working graph without purging it and charges no counter, so a
@@ -420,8 +404,8 @@ def _validate_split(wk, res, k, mode, rng, counters):
         complement = [v for v in wk.verts if v not in s_set]
     if not complement:
         raise InvariantViolation("split leaves an empty complement V \\ (S u Z)")
-    edges = _edges_at(wk, res.s)
-    if not check_isolation_core(wk.n, wk.verts, edges, res.s, res.z, res.side, k, mode):
+    us, vs = _edges_at(wk, res.s)
+    if not check_isolation_core(wk.n, wk.verts, us, vs, res.s, res.z, res.side, k, mode):
         raise InvariantViolation(
             f"split failed isolation check (provenance {res.provenance}, side {res.side})"
         )
@@ -543,7 +527,7 @@ def decompose(g, k, mode, use_levels, validate=True, trace=None, counters=None):
             pieces.append(list(wk.verts))
             continue
         if validate:
-            _validate_split(wk, res, k, mode, rng, counters)
+            _validate_split(wk, res, k, mode, rng)
         if trace is not None:
             trace.append(
                 {"event": "split", "provenance": res.provenance, "side": res.side,

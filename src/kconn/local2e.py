@@ -6,7 +6,7 @@ import math
 from .errors import GraphError, InvariantViolation
 from .graph import WorkGraph, constant_degree_transform, project_components
 from .hierarchy import Component, ComponentSet, Counters, _search_side
-from .primitives import _scc_edges, _sub_bridges, scc_raw, top_scc_of
+from .primitives import _scc_edges, _sub_bridges, edges_minus, scc_raw, top_scc_of
 from .primitives import k_dominator_raw  # noqa: F401  (perfbench/tests patch this binding)
 
 __all__ = [
@@ -91,11 +91,9 @@ def _local_search(wk, j_list, d, counters):
                 succs = wk.out_neighbors(v) if not rev else wk.in_neighbors(v)
                 if any(w not in t_set for w in succs):
                     return t
-            sub_edges = list(zip(us, vs))
-            bridges = _sub_bridges(wk.n, verts, sub_edges)
+            bridges = _sub_bridges(wk.n, verts, us, vs)
             if bridges:
-                rest = [e for e in sub_edges if e != bridges[0]]
-                return top_scc_of(wk.n, verts, [a for a, _ in rest], [b for _, b in rest])
+                return top_scc_of(wk.n, verts, *edges_minus(us, vs, bridges[:1]))
     return None
 
 
@@ -166,7 +164,8 @@ def two_escc_sparse(g, epsilon=0.5, validate=False, counters=None, trace=None):
                 if validate and any(v in last_j for v in comp):
                     raise InvariantViolation("a finished SCC touches the J-set")
                 continue
-            bridges = _sub_bridges(n2, comp, grouped[ci])
+            cus, cvs = grouped[ci]
+            bridges = _sub_bridges(n2, comp, cus, cvs)
             if not bridges:
                 finished.add(key)
                 continue
@@ -175,7 +174,7 @@ def two_escc_sparse(g, epsilon=0.5, validate=False, counters=None, trace=None):
                 j_set[u] = None
                 j_set[v] = None
             if validate:
-                _assert_tsccs_touch_j(n2, comp, grouped[ci], bridges, j_set)
+                _assert_tsccs_touch_j(n2, comp, cus, cvs, bridges, j_set)
         if trace is not None:
             trace.append({"event": "outer", "iteration": outer, "j": len(j_set),
                           "components": len(comps)})
@@ -209,13 +208,14 @@ def two_escc_sparse(g, epsilon=0.5, validate=False, counters=None, trace=None):
     return project_components(mapping, comps_cs)
 
 
-def _assert_tsccs_touch_j(n, comp, comp_edges, deleted, j_set):
-    deleted_set = set(deleted)
-    rem = [e for e in comp_edges if e not in deleted_set]
-    comp_of, comps2, has_in2, _ = scc_raw(n, comp, [e[0] for e in rem], [e[1] for e in rem])
+def _assert_tsccs_touch_j(n, comp, us, vs, deleted, j_set):
+    """Every top SCC that deleting the (u, v) pairs ``deleted`` leaves in the
+    component ``comp`` (edges us->vs) and that a deleted edge enters holds a
+    J-set vertex."""
+    _, comps2, has_in2, _ = scc_raw(n, comp, *edges_minus(us, vs, deleted))
     for ci, c2 in enumerate(comps2):
         if has_in2[ci]:
             continue
-        entered = any(v in c2 and u not in c2 for (u, v) in deleted_set)
+        entered = any(v in c2 and u not in c2 for (u, v) in deleted)
         if entered and not any(v in j_set for v in c2):
             raise InvariantViolation("top SCC created by deletions misses the J-set")

@@ -29,8 +29,9 @@ def naive_kscc(g, k, mode, validate=True, counters=None, trace=None):
 
 def _qualifies(g, subset, k, mode):
     sub, _ = induced_subgraph(g, subset)
+    nets = {}  # one flow network of the subset for all its pairs
     for a, b in combinations(range(sub.n), 2):
-        if not pairwise_k_connected_impl(sub, a, b, k, mode):
+        if not pairwise_k_connected_impl(sub, a, b, k, mode, nets=nets):
             return False
     return True
 

@@ -79,6 +79,41 @@ def is_strongly_connected(n, verts, us, vs):
     return len(comps) == 1
 
 
+def edges_within(us, vs, verts):
+    """The edges us->vs with both endpoints in ``verts``, as (us, vs) lists
+    in input order."""
+    inside = set(verts)
+    out_u, out_v = [], []
+    for u, v in zip(us, vs):
+        if u in inside and v in inside:
+            out_u.append(u)
+            out_v.append(v)
+    return out_u, out_v
+
+
+def edges_minus(us, vs, drop):
+    """The edges us->vs whose pair (u, v) is not in ``drop``, as (us, vs)
+    lists in input order; every parallel copy of a dropped pair goes."""
+    drop = set(drop)
+    out_u, out_v = [], []
+    for u, v in zip(us, vs):
+        if (u, v) not in drop:
+            out_u.append(u)
+            out_v.append(v)
+    return out_u, out_v
+
+
+def subgraph_without(verts, us, vs, z, mode):
+    """(verts, us, vs) of the subgraph on ``verts`` with edges us->vs once
+    ``z`` is removed: vertices in vertex mode, (u, v) edge pairs in edge
+    mode."""
+    if mode == "vertex":
+        drop = set(z)
+        verts = [v for v in verts if v not in drop]
+        return (verts, *edges_within(us, vs, verts))
+    return (verts, *edges_minus(us, vs, z))
+
+
 @dataclass
 class SccPartition:
     comp_of: dict
@@ -221,23 +256,27 @@ def _scc_edges(n, verts, us, vs):
     """SCCs of the subgraph on ``verts`` with edges us->vs, and their edges.
 
     Returns (comps, grouped, cross): the components as :func:`scc_raw`
-    orders them, ``grouped[i]`` the (u, v) edges inside ``comps[i]`` and
-    ``cross`` the edges between components, both in input order.
+    orders them, ``grouped[i]`` the (us, vs) lists of the edges inside
+    ``comps[i]`` and ``cross`` the (u, v) pairs of the edges between
+    components, both in input order.
     """
     comp_of, comps, _, _ = scc_raw(n, verts, us, vs)
-    grouped = [[] for _ in comps]
+    grouped = [([], []) for _ in comps]
     cross = []
     for u, v in zip(us, vs):
         cu = comp_of[u]
         if cu == comp_of[v]:
-            grouped[cu].append((u, v))
+            gu, gv = grouped[cu]
+            gu.append(u)
+            gv.append(v)
         else:
             cross.append((u, v))
     return comps, grouped, cross
 
 
-def _sub_bridges(n, verts, edges):
-    """All strong bridges of a strongly connected subgraph, sorted.
+def _sub_bridges(n, verts, us, vs):
+    """All strong bridges of a strongly connected subgraph, as sorted (u, v)
+    pairs.
 
     A strong bridge is an edge-dominator of the flow graph from any root,
     or of its reverse (Italiano, Laura and Santaroni 2012); the root is
@@ -248,17 +287,15 @@ def _sub_bridges(n, verts, edges):
     if len(verts) < 2:
         return []
     r = min(verts)
-    us = [e[0] for e in edges]
-    vs = [e[1] for e in edges]
     out = set()
     for i in edge_dominators_raw(n, r, us, vs):
-        out.add(edges[i])
+        out.add((us[i], vs[i]))
     for i in edge_dominators_raw(n, r, vs, us):
-        out.add(edges[i])
+        out.add((us[i], vs[i]))
     return sorted(out)
 
 
-def _articulation_points(n, verts, edges):
+def _articulation_points(n, verts, us, vs):
     """All strong articulation points of a strongly connected subgraph, sorted.
 
     The dominators of the flow graph from the smallest vertex r and of its
@@ -266,13 +303,10 @@ def _articulation_points(n, verts, edges):
     connected.
     """
     r = min(verts)
-    us = [e[0] for e in edges]
-    vs = [e[1] for e in edges]
     out = set(dominator_set_raw(n, r, us, vs))
     out.update(dominator_set_raw(n, r, vs, us))
     rest = [v for v in verts if v != r]
-    rest_edges = [(a, b) for (a, b) in edges if a != r and b != r]
-    if not is_strongly_connected(n, rest, [e[0] for e in rest_edges], [e[1] for e in rest_edges]):
+    if not is_strongly_connected(n, rest, *edges_within(us, vs, rest)):
         out.add(r)
     return sorted(out)
 
@@ -286,9 +320,9 @@ def strong_articulation_points(g):
     us, vs = g.edge_arrays()
     comps, grouped, _ = _scc_edges(g.n, range(g.n), us, vs)
     out = []
-    for comp, edges in zip(comps, grouped):
+    for comp, (cus, cvs) in zip(comps, grouped):
         if len(comp) >= 3:
-            out += _articulation_points(g.n, comp, edges)
+            out += _articulation_points(g.n, comp, cus, cvs)
     return sorted(out)
 
 
@@ -298,8 +332,8 @@ def strong_bridges(g):
     us, vs = g.edge_arrays()
     comps, grouped, _ = _scc_edges(g.n, range(g.n), us, vs)
     out = []
-    for comp, edges in zip(comps, grouped):
-        out += _sub_bridges(g.n, comp, edges)
+    for comp, (cus, cvs) in zip(comps, grouped):
+        out += _sub_bridges(g.n, comp, cus, cvs)
     return sorted(out)
 
 
@@ -307,9 +341,11 @@ def strong_bridges(g):
 
 
 class FlowNet:
-    """Residual network with paired arcs (arc a and a^1 are reverses).
+    """Residual network with paired arcs: arc 2i runs tails[i] -> heads[i]
+    with capacity caps[i], and arc 2i+1 is its reverse (so arc a^1 reverses
+    arc a).
 
-    ``freeze`` builds the list form once: CSR pointers over arc ids
+    Construction builds the list form once: CSR pointers over arc ids
     (``ptr``, ``arcs``), arc heads and base capacities.  Every query starts
     from zero flow by copying ``cap`` into the residual list ``res``, which
     the cut readers then inspect.
@@ -320,21 +356,17 @@ class FlowNet:
     query from s.
     """
 
-    def __init__(self, n_nodes):
+    def __init__(self, n_nodes, tails, heads, caps):
         self.n = n_nodes
-        self._tails = []
-        self.head = []
-        self.cap = []
-
-    def add_arc(self, u, v, c):
-        a = len(self._tails)
-        self._tails += [u, v]
-        self.head += [v, u]
-        self.cap += [c, 0]
-        return a
-
-    def freeze(self):
-        self.ptr, self.arcs = build_csr(self.n, self._tails, range(len(self.head)))
+        arc_tails = [0] * (2 * len(tails))
+        arc_tails[::2] = tails
+        arc_tails[1::2] = heads
+        self.head = [0] * len(arc_tails)
+        self.head[::2] = heads
+        self.head[1::2] = tails
+        self.cap = [0] * len(arc_tails)
+        self.cap[::2] = caps
+        self.ptr, self.arcs = build_csr(n_nodes, arc_tails, range(len(arc_tails)))
         self.res = self.cap[:]
         self._trees = {}  # source -> its zero-flow BFS tree, None if queried once
 
@@ -361,13 +393,13 @@ class FlowNet:
 
 
 class EdgeFlowNet:
-    """Unit-capacity network over the graph's edges (parallel edges add up)."""
+    """Unit-capacity network over the edges us->vs (parallel edges add up).
 
-    def __init__(self, n, edges):
-        self.net = FlowNet(n)
-        self.arcs = [self.net.add_arc(u, v, 1) for (u, v) in edges]
-        self.edges = list(edges)
-        self.net.freeze()
+    Edge i is arc 2i, so arc 2i+1 leads back from its head to its tail.
+    """
+
+    def __init__(self, n, us, vs):
+        self.net = FlowNet(n, us, vs, [1] * len(us))
 
     def query(self, s, t, k):
         return self.net.maxflow(s, t, k)
@@ -375,13 +407,10 @@ class EdgeFlowNet:
     def cut(self, s):
         """Indices of the edges a minimum cut of the last query from s crosses."""
         vis = self.net.residual_visited(s)
+        head = self.net.head
         res = self.net.res
-        out = []
-        for i, a in enumerate(self.arcs):
-            u, v = self.edges[i]
-            if vis[u] and not vis[v] and res[a] == 0:
-                out.append(i)
-        return out
+        return [a >> 1 for a in range(0, len(head), 2)
+                if vis[head[a + 1]] and not vis[head[a]] and res[a] == 0]
 
 
 class VertexFlowNet:
@@ -392,14 +421,11 @@ class VertexFlowNet:
     crosses an endpoint's internal arc and the endpoints are never cut.
     """
 
-    def __init__(self, n, edges, cap_edges):
+    def __init__(self, n, us, vs, cap_edges):
         self.n = n
-        self.net = FlowNet(2 * n)
-        for v in range(n):
-            self.net.add_arc(2 * v, 2 * v + 1, 1)
-        for (u, v) in edges:
-            self.net.add_arc(2 * u + 1, 2 * v, cap_edges)
-        self.net.freeze()
+        tails = list(range(0, 2 * n, 2)) + [2 * u + 1 for u in us]
+        heads = list(range(1, 2 * n, 2)) + [2 * v for v in vs]
+        self.net = FlowNet(2 * n, tails, heads, [1] * n + [cap_edges] * len(us))
 
     def query(self, s, t, k):
         return self.net.maxflow(2 * s + 1, 2 * t, k)
@@ -414,11 +440,11 @@ class VertexFlowNet:
         return out
 
 
-def _flow_net(n, edges, k, mode):
-    """The flow network of the graph (n, edges) for queries of size k: unit
+def _flow_net(n, us, vs, k, mode):
+    """The flow network of the graph (n, us->vs) for queries of size k: unit
     edges in edge mode; unit vertices and uncuttable (capacity k) edges in
     vertex mode."""
-    return EdgeFlowNet(n, edges) if mode == "edge" else VertexFlowNet(n, edges, k)
+    return EdgeFlowNet(n, us, vs) if mode == "edge" else VertexFlowNet(n, us, vs, k)
 
 
 @dataclass(frozen=True)
@@ -447,7 +473,7 @@ def bounded_min_separator(g, s, t, k, mode, counters=None):
         raise GraphError(f"bad mode {mode!r}")
     if mode == "vertex" and g.has_edge(s, t):
         return None
-    net = _flow_net(g.n, g.edge_list, k, mode)
+    net = _flow_net(g.n, *g.edge_arrays(), k, mode)
     value, augs = net.query(s, t, k)
     if counters is not None:
         counters.flow(augs)
@@ -462,43 +488,40 @@ def bounded_min_separator(g, s, t, k, mode, counters=None):
 # --- greedy arborescence packing ---------------------------------------------
 
 
-def _tree_cover(n, root, edges, k):
+def _tree_cover(n, root, indptr, indices, k):
     """How many of k greedy arc-disjoint arborescences from root reach each node.
 
-    Tree i is a depth-first search from root over the edges that no earlier
-    tree took as a tree edge; parallel edges count separately.  A node t
-    with ``cover[t] >= k`` has k arc-disjoint root->t tree paths, so k
-    edge-disjoint paths.  The converse needs an optimal packing (Edmonds'
-    branching theorem: k arc-disjoint spanning trees exist when the root
-    reaches every node by k edge-disjoint paths); a greedy one may fall
-    short, so ``cover[t] < k`` proves nothing.  Tree 1 searches every edge,
+    The graph is a CSR (``indptr``, ``indices``) from :func:`build_csr` or
+    :func:`build_csr_with_eids`, one slot per edge.  Tree i is a depth-first
+    search from root over the edges that no earlier tree took as a tree
+    edge, each vertex's edges in CSR (so input) order; parallel edges count
+    separately.  A node t with ``cover[t] >= k`` has k arc-disjoint root->t
+    tree paths, so k edge-disjoint paths.  The converse needs an optimal
+    packing (Edmonds' branching theorem: k arc-disjoint spanning trees exist
+    when the root reaches every node by k edge-disjoint paths); a greedy one
+    may fall short, so ``cover[t] < k`` proves nothing.  Tree 1 searches every edge,
     so ``cover[t] > 0`` exactly when root reaches t.
     """
-    out = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        out[u].append(i)
-    heads = [v for (_, v) in edges]
-    used = [False] * len(edges)
+    used = [False] * len(indices)
     cover = [0] * n
     for _ in range(k):
         seen = [False] * n
         seen[root] = True
-        pos = [0] * n
+        pos = indptr[:-1]
         stack = [root]
         grew = False
         while stack:
             u = stack[-1]
-            lst = out[u]
             i = pos[u]
-            while i < len(lst) and (used[lst[i]] or seen[heads[lst[i]]]):
+            end = indptr[u + 1]
+            while i < end and (used[i] or seen[indices[i]]):
                 i += 1
-            if i == len(lst):
+            if i == end:
                 stack.pop()
                 continue
             pos[u] = i + 1
-            e = lst[i]
-            v = heads[e]
-            used[e] = True
+            v = indices[i]
+            used[i] = True
             seen[v] = True
             cover[v] += 1
             stack.append(v)
@@ -523,25 +546,21 @@ def _minimalize(members, still_works):
     return cur
 
 
-def increases_scc_count(n, verts, edges, members, mode):
-    """Does removing ``members`` raise the SCC count of the (sub)graph?"""
-    _, before, _, _ = scc_raw(n, verts, [e[0] for e in edges], [e[1] for e in edges])
-    if mode == "vertex":
-        drop = set(members)
-        verts2 = [v for v in verts if v not in drop]
-        edges2 = [(u, v) for (u, v) in edges if u not in drop and v not in drop]
-    else:
-        drop = set(members)
-        verts2 = list(verts)
-        edges2 = [e for e in edges if e not in drop]
+def increases_scc_count(n, verts, us, vs, members, mode):
+    """Does removing ``members`` (vertices, or (u, v) edge pairs) raise the
+    SCC count of the subgraph on ``verts`` with edges us->vs?"""
+    _, before, _, _ = scc_raw(n, verts, us, vs)
+    verts2, us2, vs2 = subgraph_without(verts, us, vs, members, mode)
     if not verts2:
         return False
-    _, after, _, _ = scc_raw(n, verts2, [e[0] for e in edges2], [e[1] for e in edges2])
+    _, after, _, _ = scc_raw(n, verts2, us2, vs2)
     return len(after) > len(before)
 
 
-def k_separator_raw(n, verts, edges, k, mode, counters=None):
-    """Some minimal k-separator of a strongly connected (sub)graph, or None.
+def k_separator_raw(n, verts, us, vs, k, mode, counters=None):
+    """Some minimal k-separator of the strongly connected subgraph on
+    ``verts`` with edges us->vs, or None.  Edge-mode members are (u, v)
+    pairs.
 
     k == 2 takes the smallest strong bridge (:func:`_sub_bridges`) or
     strong articulation point (:func:`_articulation_points`).  k > 2 runs
@@ -559,44 +578,45 @@ def k_separator_raw(n, verts, edges, k, mode, counters=None):
         return None
     if k == 2:
         find = _sub_bridges if mode == "edge" else _articulation_points
-        found = find(n, verts, edges)
+        found = find(n, verts, us, vs)
         return Separator(mode, (found[0],), "k-separator") if found else None
 
     net = None
-    for a, b in _separator_queries(n, verts, edges, k, mode):
+    for a, b in _separator_queries(n, verts, us, vs, k, mode):
         if net is None:
-            net = _flow_net(n, edges, k, mode)
+            net = _flow_net(n, us, vs, k, mode)
         value, augs = net.query(a, b, k)
         if counters is not None:
             counters.flow(augs)
         if value < k:
             cut = net.cut(a)
             if mode == "edge":
-                cut = [edges[i] for i in cut]
+                cut = [(us[i], vs[i]) for i in cut]
             cut = _minimalize(
                 cut,
-                lambda mem: increases_scc_count(n, verts, edges, mem, mode),
+                lambda mem: increases_scc_count(n, verts, us, vs, mem, mode),
             )
             return Separator(mode, tuple(sorted(cut)), "k-separator")
     return None
 
 
-def _separator_queries(n, verts, edges, k, mode):
+def _separator_queries(n, verts, us, vs, k, mode):
     """The (source, sink) flow queries of :func:`k_separator_raw`, in order.
 
-    Edge mode leaves out the pairs that :func:`_tree_cover` certifies.
+    Edge mode leaves out the pairs that :func:`_tree_cover` certifies, in
+    the graph and in its reverse (the edges vs->us).
     """
     if mode == "edge":
         s = verts[0]
-        fwd = _tree_cover(n, s, edges, k)
-        bwd = _tree_cover(n, s, [(b, a) for (a, b) in edges], k)
+        fwd = _tree_cover(n, s, *build_csr(n, us, vs), k)
+        bwd = _tree_cover(n, s, *build_csr(n, vs, us), k)
         for t in verts[1:]:
             if fwd[t] < k:
                 yield s, t
             if bwd[t] < k:
                 yield t, s
         return
-    edge_set = set(edges)
+    edge_set = set(zip(us, vs))
     for s in verts[: min(k, len(verts))]:
         for t in verts:
             if t == s:
@@ -613,7 +633,7 @@ def k_separator(g, k, mode, counters=None):
     us, vs = g.edge_arrays()
     if not is_strongly_connected(g.n, range(g.n), us, vs):
         raise GraphError("k_separator requires a strongly connected graph")
-    return k_separator_raw(g.n, range(g.n), g.edge_list, k, mode, counters)
+    return k_separator_raw(g.n, range(g.n), us, vs, k, mode, counters)
 
 
 # --- k-dominators ---------------------------------------------------------------
@@ -643,41 +663,35 @@ def _cut_off(n, root, csr, members, mode, reach_full):
     return [v for v in range(n) if reach_full[v] and not vis[v]]
 
 
-def _flow_csr(n, edges):
-    """(indptr, indices, eids) of a flow graph given as an edge list."""
-    return build_csr_with_eids(n, [e[0] for e in edges], [e[1] for e in edges])
-
-
 class DominatorSearch:
-    """The k-dominator search of one flow graph (root, edges), whose first
-    pass also says which vertices root reaches.
+    """The k-dominator search of one flow graph (root, edges us->vs), whose
+    first pass also says which vertices root reaches.
 
     Construction runs that pass: the dominator tree for k == 2, a BFS
     (vertex mode) or the greedy tree cover of :func:`_tree_cover` (edge
-    mode) for k > 2.  ``reached`` is the set of vertices other than root
-    that root reaches.  :meth:`find` finishes the search.
+    mode) for k > 2, over one CSR that :meth:`find` reuses.  ``reached`` is
+    the set of vertices other than root that root reaches.  :meth:`find`
+    finishes the search.
     """
 
-    def __init__(self, n, root, edges, k, mode):
-        self.n, self.root, self.edges, self.k, self.mode = n, root, edges, k, mode
+    def __init__(self, n, root, us, vs, k, mode):
+        self.n, self.root, self.us, self.vs, self.k, self.mode = n, root, us, vs, k, mode
         self.tree = None
         if k == 2:
-            if edges:
-                self.tree = _dominator_tree(
-                    n, root, [e[0] for e in edges], [e[1] for e in edges])
+            if us:
+                self.tree = _dominator_tree(n, root, us, vs)
                 ids, r, _, _, idom, _ = self.tree
                 self.reached = {ids[v] for v, p in enumerate(idom) if p >= 0 and v != r}
             else:
                 self.reached = set()
             return
+        self.csr = build_csr_with_eids(n, us, vs)
         if mode == "vertex":
-            self.csr = _flow_csr(n, edges)
             self.reach_full = kernels.reach(n, root, self.csr[0], self.csr[1])
             self.targets = [t for t in range(n) if self.reach_full[t] and t != root]
             self.reached = set(self.targets)
         else:
-            self.csr = None
-            cover = _tree_cover(n, root, edges, k)
+            cover = _tree_cover(n, root, self.csr[0], self.csr[1], k)
             self.reach_full = [c > 0 for c in cover]
             self.targets = [t for t in range(n) if t != root and 0 < cover[t] < k]
             self.reached = {t for t in range(n) if cover[t] > 0 and t != root}
@@ -707,22 +721,20 @@ class DominatorSearch:
             idxs = _tree_edge_dominators(self.tree)
             if not idxs:
                 return None
-            i = min(idxs, key=lambda j: self.edges[j])
+            i = min(idxs, key=lambda j: (self.us[j], self.vs[j]))
             return [i], [ids[x] for x in _subtree(children, vs[i])]
 
-        n, root, edges, k, mode = self.n, self.root, self.edges, self.k, self.mode
+        n, root, k, mode = self.n, self.root, self.k, self.mode
         net = None
         for t in self.targets:
             if net is None:
-                net = _flow_net(n, edges, k, mode)
+                net = _flow_net(n, self.us, self.vs, k, mode)
             value, augs = net.query(root, t, k)
             if counters is not None:
                 counters.flow(augs)
             if value >= k:
                 continue
             cut = net.cut(root)
-            if self.csr is None:
-                self.csr = _flow_csr(n, edges)
             kept = [None]  # what the last subset that _minimalize kept cuts off
 
             def still_dominates(mem):
@@ -738,8 +750,8 @@ class DominatorSearch:
         return None
 
 
-def k_dominator_raw(n, root, edges, k, mode, counters=None):
-    """Minimal k-dominator of the flow graph (root, edges), or None.
+def k_dominator_raw(n, root, us, vs, k, mode, counters=None):
+    """Minimal k-dominator of the flow graph (root, edges us->vs), or None.
 
     Returns a sorted list of vertices (vertex mode) or edge indices (edge
     mode).  k == 2 takes the smallest dominator (vertex mode) or the
@@ -750,7 +762,7 @@ def k_dominator_raw(n, root, edges, k, mode, counters=None):
     arc-disjoint trees from the root reach (:func:`_tree_cover`), as k
     edge-disjoint paths lead there.  :class:`DominatorSearch` runs it.
     """
-    found = DominatorSearch(n, root, edges, k, mode).find(counters)
+    found = DominatorSearch(n, root, us, vs, k, mode).find(counters)
     return None if found is None else found[0]
 
 
@@ -773,7 +785,7 @@ def pairwise_k_connected_impl(g, u, v, k, mode, nets=None):
         raise GraphError(f"vertex ({u}, {v}) out of range")
     net = nets.get("flow") if nets is not None else None
     if net is None:
-        net = _flow_net(g.n, g.edge_list, k, mode)
+        net = _flow_net(g.n, *g.edge_arrays(), k, mode)
         if nets is not None:
             nets["flow"] = net
     return net.query(u, v, k)[0] >= k and net.query(v, u, k)[0] >= k

@@ -33,6 +33,19 @@ def k4b():
     return build_graph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
 
 
+def naive_runs_same_calls(g, k, mode):
+    """Does kscc make naive_kscc's calls on g?  kscc runs the level search
+    only on working graphs of more than 8 vertices, and in vertex mode with
+    k > 2 of at least 14 k^3; below that it is the naive loop."""
+    return g.n <= 8 or (mode == "vertex" and k > 2 and g.n < 14 * k**3)
+
+
+def arrays(edges):
+    """The (us, vs) lists of a list of (u, v) pairs: the edge format that
+    kconn's internal functions take."""
+    return [u for u, _ in edges], [v for _, v in edges]
+
+
 # --- brute-force helpers used as independent oracles -------------------------
 
 

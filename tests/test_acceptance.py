@@ -30,6 +30,7 @@ from kconn.graphio import (
 )
 from kconn.hierarchy import Counters
 
+from conftest import naive_runs_same_calls
 from oracles import edge_kscc_sets, vertex_kscc_sets
 
 
@@ -88,21 +89,18 @@ def medium_corpus():
 def test_criterion_1_oracle_equivalence_small(small_corpus):
     from kconn.oracle import brute_force_kscc
 
-    checked = 0
+    checked = naive = 0
     for g in small_corpus:
         for mode in ("edge", "vertex"):
             fast = kscc(g, 2, mode)
-            slow = naive_kscc(g, 2, mode)
             brute = brute_force_kscc(g, 2, mode)
-            assert fast == slow == brute, (g.n, g.edge_list, mode)
+            assert fast == brute, (g.n, g.edge_list, mode)
             checked += 1
-    _report(1, f"kscc == naive == brute force on {checked} small instances", True)
-
-
-def _naive_runs_same_calls(g, k, mode):
-    """kscc runs the level search in vertex mode with k > 2 only on working
-    graphs of at least 14 k^3 vertices; below that it makes naive_kscc's calls."""
-    return mode == "vertex" and k > 2 and g.n < 14 * k**3
+            if not naive_runs_same_calls(g, 2, mode):
+                assert naive_kscc(g, 2, mode) == fast, (g.n, g.edge_list, mode)
+                naive += 1
+    _report(1, f"kscc == brute force on {checked} small instances, "
+               f"== naive on the {naive} where they differ in code", True)
 
 
 def test_criterion_2_oracle_equivalence_medium(medium_corpus):
@@ -111,7 +109,7 @@ def test_criterion_2_oracle_equivalence_medium(medium_corpus):
     for g in randoms + chains:
         for k in (2, 3, 4):
             for mode in ("edge", "vertex"):
-                if _naive_runs_same_calls(g, k, mode):
+                if naive_runs_same_calls(g, k, mode):
                     continue
                 a = kscc(g, k, mode)
                 b = naive_kscc(g, k, mode)
@@ -166,7 +164,7 @@ def test_criterion_4_structural_invariants(medium_corpus):
             for mode in ("edge", "vertex"):
                 kscc(g, k, mode, validate=True)
                 runs += 1
-                if not _naive_runs_same_calls(g, k, mode):
+                if not naive_runs_same_calls(g, k, mode):
                     naive_kscc(g, k, mode, validate=True)
                     runs += 1
     _report(4, f"zero invariant violations across {runs} validated runs", True)

@@ -15,6 +15,8 @@ from kconn.graphio import gen_random
 from kconn.hierarchy import Component, ComponentSet, _flow_graphs
 from kconn.oracle import naive_kscc
 
+from conftest import arrays
+
 
 def edges_of(g):
     return sorted(g.edge_list)
@@ -149,11 +151,11 @@ class TestMakeFlowGraphs:
 
     def test_bowtie_single_blue_vertex_mode(self, bowtie):
         edges, blue = level(bowtie, 1)
-        fgs = _flow_graphs(bowtie.n, edges, blue, 2, "vertex")
+        fgs = _flow_graphs(bowtie.n, *arrays(edges), blue, 2, "vertex")
         assert len(fgs) == 1
-        nodes, root, fedges, origin = fgs[0]
+        nodes, root, fus, fvs, origin = fgs[0]
         assert (nodes, root, origin) == (bowtie.n, 2, None)
-        assert fedges == edges  # no added edges for |blue| == 1
+        assert list(zip(fus, fvs)) == edges  # no added edges for |blue| == 1
 
     def test_contracted_edge_mode(self):
         # blue = {0, 1}: both have in-degree 3 > 2, the rest at most 2
@@ -161,7 +163,8 @@ class TestMakeFlowGraphs:
                             (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
         edges, blue = level(g, 1)
         assert set(blue) == {0, 1}
-        ((nodes, root, fedges, origin),) = _flow_graphs(g.n, edges, blue, 2, "edge")
+        ((nodes, root, fus, fvs, origin),) = _flow_graphs(g.n, *arrays(edges), blue, 2, "edge")
+        fedges = list(zip(fus, fvs))
         assert (nodes, root) == (g.n + 1, g.n)
         # whites keep their ids; origin maps every flow edge to its level edge
         for (a, b), j in zip(fedges, origin):
@@ -177,7 +180,8 @@ class TestMakeFlowGraphs:
                             (3, 2), (4, 2), (5, 2), (0, 3), (1, 4), (2, 5)])
         edges, blue = level(g, 1)
         assert set(blue) == {0, 1, 2}
-        ((nodes, root, fedges, origin),) = _flow_graphs(g.n, edges, blue, 2, "vertex")
+        ((nodes, root, fus, fvs, origin),) = _flow_graphs(g.n, *arrays(edges), blue, 2, "vertex")
+        fedges = list(zip(fus, fvs))
         assert (nodes, root, origin) == (g.n + 1, g.n, None)
         root_edges = [e for e in fedges if e[0] == root]
         assert sorted(v for _, v in root_edges) == [0, 1, 2]
@@ -186,10 +190,10 @@ class TestMakeFlowGraphs:
         g = build_graph(5, [(2, 0), (3, 0), (4, 0), (2, 1), (3, 1), (4, 1),
                             (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
         edges, blue = level(g, 1)
-        fgs = _flow_graphs(g.n, edges, blue, 3, "vertex")
-        assert [root for _, root, _, _ in fgs] == [0, 1]
-        assert all(nodes == g.n and origin is None for nodes, _, _, origin in fgs)
-        assert (0, 1) in fgs[0][2]  # root wired to the other blue
+        fgs = _flow_graphs(g.n, *arrays(edges), blue, 3, "vertex")
+        assert [root for _, root, _, _, _ in fgs] == [0, 1]
+        assert all(nodes == g.n and origin is None for nodes, _, _, _, origin in fgs)
+        assert (0, 1) in zip(fgs[0][2], fgs[0][3])  # root wired to the other blue
 
     def test_whites_reachable_from_blue_stay_reachable(self):
         # any white reachable from some blue vertex in the level subgraph
@@ -209,8 +213,8 @@ class TestMakeFlowGraphs:
                 if mode == "vertex" and len(blue) < k:
                     # one root per blue vertex; only the union must cover
                     continue
-                for nodes, root, fedges, _ in _flow_graphs(g.n, edges, blue, k, mode):
-                    seen = reach_set(nodes, fedges, root)
+                for nodes, root, fus, fvs, _ in _flow_graphs(g.n, *arrays(edges), blue, k, mode):
+                    seen = reach_set(nodes, list(zip(fus, fvs)), root)
                     for w in targets:
                         assert w in seen, (seed, mode, k, w)
 

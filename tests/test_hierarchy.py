@@ -21,6 +21,8 @@ from kconn.hierarchy import Counters, IsolationResult, check_isolation_core
 from kconn.oracle import brute_force_kscc
 from kconn.primitives import k_dominator_raw
 
+from conftest import arrays
+
 
 def path3():
     return build_graph(3, [(0, 1), (1, 2)])
@@ -308,15 +310,21 @@ class TestValidation:
         # WorkGraph scans purge what they read, so every later count depends
         # on exactly which entries each scan reads and purges
         g = gen_random(60, 0.05, 2)
+        g3 = gen_random(60, 0.1, 2)
+        # (level_edges, whole_edges, splits); at k >= 3 vertex mode stays
+        # below the level-search size, and edge mode runs the tree cover
         expect = [
-            (2, "vertex", {"level_edges": 16905, "whole_edges": 395, "splits": 85}),
-            (2, "edge", {"level_edges": 14250, "whole_edges": 291, "splits": 59}),
+            (g, 2, "vertex", (16905, 395, 85)),
+            (g, 2, "edge", (14250, 291, 59)),
+            (g3, 3, "vertex", (0, 10531, 25)),
+            (g3, 3, "edge", (9772, 520, 11)),
+            (g3, 4, "vertex", (0, 22626, 139)),
+            (g3, 4, "edge", (18305, 153, 59)),
         ]
-        for k, mode, want in expect:
+        for graph, k, mode, want in expect:
             c = Counters()
-            kscc(g, k, mode, counters=c)
-            got = c.as_dict()
-            assert {key: got[key] for key in want} == want
+            kscc(graph, k, mode, counters=c)
+            assert (c.level_edges, c.whole_edges, c.splits) == want, (k, mode)
         c = Counters()
         two_escc_sparse(g, counters=c)
         assert (c.whole_edges, c.bfs_ball_edges) == (1523, 104)
@@ -378,7 +386,7 @@ class TestValidation:
         mode = data.draw(st.sampled_from(["edge", "vertex"]))
 
         before = (list(map(list, wk.in_l)), list(map(list, wk.out_l)))
-        local = hierarchy._edges_at(wk, s)
+        local = list(zip(*hierarchy._edges_at(wk, s)))
         assert (list(map(list, wk.in_l)), list(map(list, wk.out_l))) == before
         us, vs = wk.all_edges()
         full = list(zip(us, vs))
@@ -396,8 +404,8 @@ class TestValidation:
             z = z[1:]
         k = data.draw(st.sampled_from([2, len(z) + 1, len(z) + 2]))
         k = max(k, 2)
-        assert check_isolation_core(wk.n, wk.verts, local, s, z, side, k, mode) == \
-            check_isolation_core(wk.n, wk.verts, full, s, z, side, k, mode)
+        assert check_isolation_core(wk.n, wk.verts, *arrays(local), s, z, side, k, mode) == \
+            check_isolation_core(wk.n, wk.verts, us, vs, s, z, side, k, mode)
 
 
 class TestSharedSearch:
@@ -408,7 +416,8 @@ class TestSharedSearch:
         # a result that leaves some vertex outside S is a (k-almost) top SCC
         # of the whole graph in the searched orientation
         if res is not None and len(res.s) < g.n:
-            assert check_isolation_core(g.n, range(g.n), edges, res.s, res.z, "forward", k, mode)
+            assert check_isolation_core(g.n, range(g.n), *arrays(edges), res.s, res.z,
+                                        "forward", k, mode)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -463,8 +472,8 @@ def reference_search(n, verts, us, vs, blue, k, mode, side):
     s = nx_top_scc(verts, edges, blue)
     if s is not None:
         return s, [], "tscc"
-    for nodes, root, fedges, origin in hierarchy._flow_graphs(n, edges, blue, k, mode):
-        z = k_dominator_raw(nodes, root, fedges, k, mode)
+    for nodes, root, fus, fvs, origin in hierarchy._flow_graphs(n, us, vs, blue, k, mode):
+        z = k_dominator_raw(nodes, root, fus, fvs, k, mode)
         if z is None:
             continue
         if mode == "edge":

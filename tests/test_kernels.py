@@ -7,7 +7,7 @@ from kconn import kernels
 from kconn.graphio import gen_random
 from kconn.primitives import EdgeFlowNet, VertexFlowNet, idoms_raw, scc_raw
 
-from conftest import brute_dominators, brute_sccs, reach_set
+from conftest import arrays, brute_dominators, brute_sccs, reach_set
 
 
 def test_build_csr_stable_order():
@@ -123,8 +123,8 @@ def test_flow_values_match_removal_counts():
     k = 3
     for seed in range(6):
         g = gen_random(7, 0.4, seed)
-        edge_net = EdgeFlowNet(g.n, g.edge_list)
-        vertex_net = VertexFlowNet(g.n, g.edge_list, k)
+        edge_net = EdgeFlowNet(g.n, *g.edge_arrays())
+        vertex_net = VertexFlowNet(g.n, *g.edge_arrays(), k)
         for s, t in permutations(range(g.n), 2):
             expect_e = _brute_cut_size(g.n, g.edge_list, s, t, k, "edge")
             expect_v = _brute_cut_size(g.n, g.edge_list, s, t, k, "vertex")
@@ -152,10 +152,10 @@ def _net_queries(draw):
 def test_reused_flow_nets_match_fresh_nets(case):
     n, edges, queries = case
     cap = 4  # at least every k, so only vertices can be cut
-    edge_net = EdgeFlowNet(n, edges)
-    vertex_net = VertexFlowNet(n, edges, cap)
+    edge_net = EdgeFlowNet(n, *arrays(edges))
+    vertex_net = VertexFlowNet(n, *arrays(edges), cap)
     for s, t, k in queries:
-        fresh = EdgeFlowNet(n, edges)
+        fresh = EdgeFlowNet(n, *arrays(edges))
         value, augs = edge_net.query(s, t, k)
         assert (value, augs) == fresh.query(s, t, k)
         cut = edge_net.cut(s)
@@ -164,7 +164,7 @@ def test_reused_flow_nets_match_fresh_nets(case):
             assert len(cut) == value
             assert t not in reach_set(n, edges, s, drop_e=[edges[i] for i in cut])
 
-        fresh = VertexFlowNet(n, edges, cap)
+        fresh = VertexFlowNet(n, *arrays(edges), cap)
         value, augs = vertex_net.query(s, t, k)
         assert (value, augs) == fresh.query(s, t, k)
         cut = vertex_net.cut(s)

@@ -128,7 +128,7 @@ class TestTwoIsolatedSetLocal:
                 else:
                     z = [(u, v) for (u, v) in g.edge_list if u in res and v not in res]
                 if len(z) < 2 and check_isolation_core(
-                    g.n, range(g.n), g.edge_list, s, z, side, 2, "edge"
+                    g.n, range(g.n), *g.edge_arrays(), s, z, side, 2, "edge"
                 ):
                     ok = True
             assert ok, (seed, s)
@@ -196,8 +196,8 @@ class TestTwoEsccSparse:
         in_local = []
         trace = []
 
-        def sub_bridges(n, verts, edges):
-            res = real_sub_bridges(n, verts, edges)
+        def sub_bridges(n, verts, us, vs):
+            res = real_sub_bridges(n, verts, us, vs)
             iteration = 1 + sum(ev["event"] == "outer" for ev in trace)
             calls.append((frozenset(verts), not res, not in_local, iteration))
             return res
@@ -250,8 +250,8 @@ class TestTwoEsccSparse:
         real_boundary_edges = local2e._boundary_edges
         finished = []
 
-        def sub_bridges(n, verts, edges):
-            res = real_sub_bridges(n, verts, edges)
+        def sub_bridges(n, verts, us, vs):
+            res = real_sub_bridges(n, verts, us, vs)
             if not res and len(verts) == 6:
                 finished.append(set(verts))
             return res

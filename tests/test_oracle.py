@@ -13,6 +13,7 @@ from kconn import (
 )
 from kconn.graphio import gen_random
 
+from conftest import naive_runs_same_calls
 from oracles import edge_kscc_sets, vertex_kscc_sets
 
 
@@ -83,10 +84,10 @@ class TestNaive:
         for seed in range(25):
             g = gen_random(8, 0.3, seed)
             for mode in ("edge", "vertex"):
-                b = brute_force_kscc(g, 2, mode)
-                n = naive_kscc(g, 2, mode)
                 h = kscc(g, 2, mode)
-                assert b == n == h
+                assert brute_force_kscc(g, 2, mode) == h
+                if not naive_runs_same_calls(g, 2, mode):
+                    assert naive_kscc(g, 2, mode) == h
 
     def test_oracle_chain_k3(self):
         for seed in range(12):

@@ -17,6 +17,7 @@ from kconn import (
 )
 from kconn.graphio import gen_random
 from kconn.hierarchy import _flow_graphs
+from kconn.kernels import build_csr
 from kconn.primitives import (
     EdgeFlowNet,
     Separator,
@@ -31,6 +32,7 @@ from kconn.primitives import (
 )
 
 from conftest import (
+    arrays,
     brute_dominators,
     brute_edge_dominators,
     brute_scc_count,
@@ -310,7 +312,7 @@ class TestKSeparator:
                         for i in range(len(sep.members)):
                             sub = list(sep.members[:i] + sep.members[i + 1:])
                             assert not increases_scc_count(
-                                g.n, range(g.n), g.edge_list, sub, mode
+                                g.n, range(g.n), *g.edge_arrays(), sub, mode
                             )
                     else:
                         found = any(
@@ -329,25 +331,25 @@ class TestKSeparator:
 
 class TestKDominator:
     def test_path_vertex(self):
-        assert k_dominator_raw(3, 0, path3().edge_list, 2, "vertex") == [1]
+        assert k_dominator_raw(3, 0, *path3().edge_arrays(), 2, "vertex") == [1]
 
     def test_diamond_pair(self):
-        assert k_dominator_raw(4, 0, diamond().edge_list, 3, "vertex") == [1, 2]
+        assert k_dominator_raw(4, 0, *diamond().edge_arrays(), 3, "vertex") == [1, 2]
 
     def test_bitri_none(self, bitri):
-        assert k_dominator_raw(3, 0, bitri.edge_list, 2, "vertex") is None
+        assert k_dominator_raw(3, 0, *bitri.edge_arrays(), 2, "vertex") is None
 
     def test_k2_agrees_with_removal_oracle(self):
         for seed in range(40):
             g = gen_random(9, 0.3, seed)
-            z = k_dominator_raw(g.n, 0, g.edge_list, 2, "vertex")
+            z = k_dominator_raw(g.n, 0, *g.edge_arrays(), 2, "vertex")
             doms = brute_dominators(g.n, g.edge_list, 0)
             assert z == ([min(doms)] if doms else None)
 
     def test_k2_edge_agrees_with_removal_oracle(self):
         for seed in range(40):
             g = gen_random(9, 0.3, seed)
-            z = k_dominator_raw(g.n, 0, g.edge_list, 2, "edge")
+            z = k_dominator_raw(g.n, 0, *g.edge_arrays(), 2, "edge")
             ed = brute_edge_dominators(g.n, g.edge_list, 0)
             assert (z is None) == (not ed)
             if z is not None:
@@ -357,7 +359,7 @@ class TestKDominator:
         for seed in range(25):
             g = gen_random(8, 0.35, seed)
             for k in (2, 3):
-                z = k_dominator_raw(g.n, 0, g.edge_list, k, "vertex")
+                z = k_dominator_raw(g.n, 0, *g.edge_arrays(), k, "vertex")
                 if z is None:
                     continue
                 assert len(z) < k
@@ -399,7 +401,7 @@ def cuts_something_off(n, root, edges, members):
 
 def flow_everywhere_dominator(n, root, edges, k):
     """Edge-mode k-dominator with a flow query to every reachable vertex in id order."""
-    net = EdgeFlowNet(n, edges)
+    net = EdgeFlowNet(n, *arrays(edges))
     reach = reach_set(n, edges, root)
     for t in range(n):
         if t == root or t not in reach or net.query(root, t, k)[0] >= k:
@@ -415,7 +417,7 @@ def flow_everywhere_dominator(n, root, edges, k):
 def flow_everywhere_separator(n, verts, edges, k):
     """Edge-mode k-separator with flow queries both ways between verts[0] and every vertex."""
     verts = sorted(verts)
-    net = EdgeFlowNet(n, edges)
+    net = EdgeFlowNet(n, *arrays(edges))
     s = verts[0]
     for t in verts[1:]:
         for a, b in ((s, t), (t, s)):
@@ -423,7 +425,7 @@ def flow_everywhere_separator(n, verts, edges, k):
                 continue
             cut = _minimalize(
                 [edges[i] for i in net.cut(a)],
-                lambda mem: increases_scc_count(n, verts, edges, mem, "edge"),
+                lambda mem: increases_scc_count(n, verts, *arrays(edges), mem, "edge"),
             )
             return Separator("edge", tuple(sorted(cut)), "k-separator")
     return None
@@ -438,9 +440,9 @@ class TestTreeCover:
         edges = data.draw(st.lists(st.tuples(node, node), max_size=30))
         root = data.draw(node)
         k = data.draw(st.integers(2, 5))
-        cover = _tree_cover(n, root, edges, k)
+        cover = _tree_cover(n, root, *build_csr(n, *arrays(edges)), k)
         reach = reach_set(n, edges, root)
-        net = EdgeFlowNet(n, edges)
+        net = EdgeFlowNet(n, *arrays(edges))
         for t in range(n):
             if t == root:
                 continue
@@ -449,7 +451,8 @@ class TestTreeCover:
                 assert net.query(root, t, k)[0] >= k
 
     def test_parallel_edges_count_separately(self):
-        assert _tree_cover(3, 0, [(0, 1), (0, 1), (0, 1), (1, 2)], 3) == [0, 3, 1]
+        csr = build_csr(3, *arrays([(0, 1), (0, 1), (0, 1), (1, 2)]))
+        assert _tree_cover(3, 0, *csr, 3) == [0, 3, 1]
 
 
 class TestFlowSkipping:
@@ -470,10 +473,10 @@ class TestFlowSkipping:
             edges = list(g.edge_list)
             for k in (3, 4, 5):
                 blue = sorted(rng.sample(range(g.n), rng.randint(1, 4)))
-                ((nodes, root, fedges, _),) = _flow_graphs(g.n, edges, blue, k, "edge")
-                for n, r, es in ((g.n, 0, edges), (nodes, root, fedges)):
+                ((nodes, root, fus, fvs, _),) = _flow_graphs(g.n, *arrays(edges), blue, k, "edge")
+                for n, r, es in ((g.n, 0, edges), (nodes, root, list(zip(fus, fvs)))):
                     want = flow_everywhere_dominator(n, r, es, k)
-                    assert k_dominator_raw(n, r, es, k, "edge") == want
+                    assert k_dominator_raw(n, r, *arrays(es), k, "edge") == want
                     found += want is not None
                     none += want is None
         assert found and none
@@ -483,7 +486,7 @@ class TestFlowSkipping:
         for g in self.cases():
             for k in (3, 4, 5):
                 want = flow_everywhere_separator(g.n, range(g.n), g.edge_list, k)
-                assert k_separator_raw(g.n, range(g.n), g.edge_list, k, "edge") == want
+                assert k_separator_raw(g.n, range(g.n), *g.edge_arrays(), k, "edge") == want
                 found += want is not None
                 none += want is None
         assert found and none
